@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import datetime
 import json
 import sys
@@ -22,7 +23,7 @@ import numpy as np
 from . import __version__
 from .inference import FitConfig, backdate, county_estimates, fit_panel
 from .ingest import PanelFormatError, load_panel, write_panel
-from .model import GenerationTimePmf, naive_r_hat, trapezoid_pmf
+from .model import GenerationTimePmf, naive_series, trapezoid_pmf
 from .simulator import SimConfig, simulate
 
 EXIT_OK = 0
@@ -133,6 +134,14 @@ def _write_meta(outdir: Path, command: str, options: dict) -> None:
     (outdir / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
 
 
+def _load_panel(path):
+    """Load a panel, printing each ingest warning to stderr."""
+    panel, report = load_panel(path)
+    for warning in report.warnings:
+        print(f"countyrt: warning: {warning}", file=sys.stderr)
+    return panel
+
+
 def _parse_date(s: str) -> datetime.date:
     try:
         return datetime.date.fromisoformat(s)
@@ -157,7 +166,6 @@ FIT_SPEC = {
     "backdate_days": (int, 7),
     "level": (float, 0.95),
     "quantiles": (str, "0.05,0.5,0.95"),
-    "threads": (int, 1),
 }
 
 NAIVE_SPEC = {
@@ -196,16 +204,7 @@ def cmd_simulate(args) -> int:
     else:
         seeds = np.random.SeedSequence(opts["seed"]).generate_state(opts["replicates"])
         for i, seed in enumerate(seeds):
-            rep = SimConfig(
-                k=base.k,
-                sigma=base.sigma,
-                schedule=base.schedule,
-                initial_cases=base.initial_cases,
-                w=base.w,
-                seed=int(seed),
-                start_date=base.start_date,
-                county_r_scale=base.county_r_scale,
-            )
+            rep = dataclasses.replace(base, seed=int(seed))
             _run_one_simulation(rep, outdir / f"rep{i:03d}")
     _write_meta(outdir, "simulate", {**opts, "output_dir": str(outdir)})
     return EXIT_OK
@@ -219,13 +218,11 @@ def cmd_fit(args) -> int:
         raise UsageError("--backdate-days must be >= 0")
     quantile_probs = tuple(float(q) for q in opts["quantiles"].split(","))
     w = parse_gen_time(opts["gen_time"])
-    panel, _ = load_panel(args.input)
+    panel = _load_panel(args.input)
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    config = FitConfig(
-        level=opts["level"], quantile_probs=quantile_probs, threads=opts["threads"]
-    )
+    config = FitConfig(level=opts["level"], quantile_probs=quantile_probs)
     fits = fit_panel(panel, w, config)
     counties = county_estimates(panel, w, fits, config)
     shift = datetime.timedelta(days=opts["backdate_days"])
@@ -295,27 +292,22 @@ def cmd_naive(args) -> int:
     if opts["backdate_days"] < 0:
         raise UsageError("--backdate-days must be >= 0")
     w = parse_gen_time(opts["gen_time"])
-    panel, _ = load_panel(args.input)
+    panel = _load_panel(args.input)
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     shift = datetime.timedelta(days=opts["backdate_days"])
 
-    country = panel.counts.sum(axis=0)
+    country, phi, r_hat = naive_series(panel, w)
     with open(outdir / "naive_estimates.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["date", "i_t", "phi_t", "r_hat"])
         for t, day in enumerate(panel.dates):
-            phi = 0.0
-            for tau, wt in zip(w.days, w.weights):
-                if t - tau >= 0:
-                    phi += country[t - tau] * wt
-            r_hat = naive_r_hat(panel, w, t)
             writer.writerow(
                 [
                     (day - shift).isoformat(),
                     int(country[t]),
-                    _fmt(phi),
-                    _fmt(r_hat),
+                    _fmt(phi[t]),
+                    _fmt(r_hat[t]),
                 ]
             )
     _write_meta(
@@ -351,7 +343,6 @@ def build_parser() -> _Parser:
     fit.add_argument("--backdate-days", type=str)
     fit.add_argument("--level", type=str)
     fit.add_argument("--quantiles", type=str)
-    fit.add_argument("--threads", type=str)
     fit.set_defaults(func=cmd_fit)
 
     naive = sub.add_parser("naive", help="country-level ratio estimator")

@@ -10,7 +10,6 @@ from the conjugate Gamma posterior at the fitted hyperparameters.
 from __future__ import annotations
 
 import datetime
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -47,7 +46,6 @@ class FitConfig:
     level: float = 0.95
     quantile_probs: tuple = (0.05, 0.5, 0.95)
     burn_in: int | None = None  # None: generation-time support length
-    threads: int = 1
 
     def __post_init__(self):
         if not 0.0 < self.level < 1.0:
@@ -237,32 +235,19 @@ def fit_panel(
 ) -> list:
     """One DayFit per panel day; the leading burn-in days are skipped.
 
-    Days are fitted independently; results are deterministic regardless of
-    execution order (threads only change scheduling).
+    Days are fitted independently of each other.
     """
     config = config or FitConfig()
     if panel.n_regions < 2:
         raise ValueError("fitting requires at least 2 regions")
     burn_in = config.burn_in if config.burn_in is not None else w.support_end
     phi = phi_matrix(panel, w)
-    fits: list = [None] * panel.n_days
-
-    def run(t):
-        return _make_day_fit(panel.dates[t], panel.counts[:, t], phi[:, t], config)
-
-    active = [t for t in range(panel.n_days) if t >= burn_in]
-    for t in range(min(burn_in, panel.n_days)):
-        fits[t] = DayFit(
-            panel.dates[t], None, None, None, skipped=True, skip_reason="burn-in"
-        )
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            for t, fit in zip(active, pool.map(run, active)):
-                fits[t] = fit
-    else:
-        for t in active:
-            fits[t] = run(t)
-    return fits
+    return [
+        DayFit(date, None, None, None, skipped=True, skip_reason="burn-in")
+        if t < burn_in
+        else _make_day_fit(date, panel.counts[:, t], phi[:, t], config)
+        for t, date in enumerate(panel.dates)
+    ]
 
 
 def county_estimates(
@@ -274,12 +259,13 @@ def county_estimates(
     """Posterior mean and quantiles of R_c for every (unskipped day, county)."""
     config = config or FitConfig()
     date_to_t = {d: t for t, d in enumerate(panel.dates)}
+    phi = phi_matrix(panel, w)
     out = []
     for fit in fits:
         if fit.skipped or fit.params is None:
             continue
         t = date_to_t[fit.date]
-        lam = compute_lambda(compute_phi(panel, w, t), fit.params.p)
+        lam = compute_lambda(phi[:, t], fit.params.p)
         for c, region in enumerate(panel.region_ids):
             i_c = int(panel.counts[c, t])
             post = posterior(fit.params.a, fit.params.s, float(lam[c]), i_c)

@@ -1,9 +1,7 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""The per-day negative log-likelihood, vectorized over regions with numpy.
 
-The per-day negative log-likelihood is evaluated thousands of times per
-fitted day inside the simplex search, so it is the one kernel worth
-compiling. Set ``COUNTYRT_NUMBA=0`` in the environment (before import) to
-force the numpy path; the selected backend is reported in ``BACKEND``.
+It is evaluated hundreds of times per fitted day inside the simplex
+search, so it is the one hot kernel.
 
 Inside the optimizer, impossible observations (i > 0 with mean 0) use a
 large finite sentinel instead of -inf so the simplex stays ordered.
@@ -11,18 +9,10 @@ large finite sentinel instead of -inf so the simplex stays ordered.
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
 from scipy import special
 
 LOGPMF_SENTINEL = -1e100
-
-
-def _env_numba_enabled() -> bool:
-    flag = os.environ.get("COUNTYRT_NUMBA", "1").strip().lower()
-    return flag not in ("0", "false", "off", "no")
 
 
 # Above this shape, lgamma(a+i)-lgamma(a) loses enough precision to swamp
@@ -31,8 +21,8 @@ _LGAMMA_DIFF_A_MAX = 1e4
 _LGAMMA_DIFF_I_MAX = 64
 
 
-def negloglik_numpy(counts, phi, a, s, p):
-    """Pure-numpy negative log-likelihood of one day's counts.
+def day_negloglik(counts, phi, a, s, p):
+    """Negative log-likelihood of one day's counts.
 
     Sums -log NB(I_c; a, s * Lambda_c) over regions, with Lambda the
     transfer redistribution of phi. Accepts p slightly outside [0, 1]
@@ -64,59 +54,3 @@ def negloglik_numpy(counts, phi, a, s, p):
             - a * np.log1p(mo)
         )
     return -float(ll.sum())
-
-
-def _negloglik_loop(counts, phi, a, s, p):
-    K = phi.shape[0]
-    total = 0.0
-    for c in range(K):
-        total += phi[c]
-    nll = 0.0
-    for c in range(K):
-        lam = (1.0 - p) * phi[c] + p * (total - phi[c]) / (K - 1.0)
-        m = s * lam
-        i = counts[c]
-        if m <= 0.0:
-            if i > 0.0:
-                nll -= LOGPMF_SENTINEL
-            continue
-        n = int(i)
-        if n <= _LGAMMA_DIFF_I_MAX or a > _LGAMMA_DIFF_A_MAX:
-            rising = 0.0
-            for j in range(n):
-                rising += math.log(a + j)
-        else:
-            rising = math.lgamma(a + i) - math.lgamma(a)
-        nll -= (
-            rising
-            - math.lgamma(i + 1.0)
-            + i * math.log(m / (1.0 + m))
-            - a * math.log1p(m)
-        )
-    return nll
-
-
-negloglik_jit = None
-if _env_numba_enabled():
-    try:
-        import numba
-
-        negloglik_jit = numba.njit(
-            "float64(float64[::1], float64[::1], float64, float64, float64)",
-            cache=True,
-            nogil=True,
-        )(_negloglik_loop)
-    except ImportError:
-        negloglik_jit = None
-
-if negloglik_jit is not None:
-    BACKEND = "numba"
-
-    def day_negloglik(counts, phi, a, s, p):
-        counts = np.ascontiguousarray(counts, dtype=np.float64)
-        phi = np.ascontiguousarray(phi, dtype=np.float64)
-        return negloglik_jit(counts, phi, a, s, p)
-
-else:
-    BACKEND = "numpy"
-    day_negloglik = negloglik_numpy

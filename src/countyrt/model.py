@@ -125,28 +125,37 @@ class IncidencePanel:
         return len(self.dates)
 
 
+def _convolve(counts: np.ndarray, w: GenerationTimePmf) -> np.ndarray:
+    """Phi(t) = sum_tau counts(t - tau) w(tau) for each row of a (rows, T) array.
+
+    Lags reaching before the first column contribute zero.
+    """
+    rows, T = counts.shape
+    phi = np.zeros((rows, T))
+    for tau, wt in zip(w.days, w.weights):
+        if tau < T:
+            phi[:, tau:] += counts[:, : T - tau] * wt
+    return phi
+
+
+def _check_day(panel: IncidencePanel, t: int) -> None:
+    if t < 0 or t >= panel.n_days:
+        raise IndexError(f"day index {t} outside panel of {panel.n_days} days")
+
+
 def compute_phi(panel: IncidencePanel, w: GenerationTimePmf, t: int) -> np.ndarray:
     """Expected active cases Phi_c(t) = sum_tau I_c(t - tau) w(tau).
 
     Lags reaching before the start of the panel contribute zero.
     """
-    if t < 0 or t >= panel.n_days:
-        raise IndexError(f"day index {t} outside panel of {panel.n_days} days")
-    phi = np.zeros(panel.n_regions)
-    for tau, wt in zip(w.days, w.weights):
-        if t - tau >= 0:
-            phi += panel.counts[:, t - tau] * wt
-    return phi
+    _check_day(panel, t)
+    start = max(0, t - w.support_end)
+    return _convolve(panel.counts[:, start : t + 1], w)[:, -1]
 
 
 def phi_matrix(panel: IncidencePanel, w: GenerationTimePmf) -> np.ndarray:
     """Phi_c(t) for every day of the panel at once, shape (K, T)."""
-    K, T = panel.counts.shape
-    phi = np.zeros((K, T))
-    for tau, wt in zip(w.days, w.weights):
-        if tau < T:
-            phi[:, tau:] += panel.counts[:, : T - tau] * wt
-    return phi
+    return _convolve(panel.counts, w)
 
 
 def compute_lambda(phi: np.ndarray, p: float) -> np.ndarray:
@@ -166,21 +175,22 @@ def compute_lambda(phi: np.ndarray, p: float) -> np.ndarray:
     return (1.0 - p) * phi + p * (total - phi) / (K - 1)
 
 
-def naive_r_hat(panel: IncidencePanel, w: GenerationTimePmf, t: int):
-    """Country-level ratio estimator I(t) / Phi(t).
+def naive_series(panel: IncidencePanel, w: GenerationTimePmf) -> tuple:
+    """Country-level ratio estimator I(t) / Phi(t) for every day.
 
-    The panel is summed over regions first. Returns None when Phi(t) = 0.
+    The panel is summed over regions first. Returns the country counts
+    I(t), their Phi(t) and the ratios, with None where Phi(t) = 0.
     """
-    if t < 0 or t >= panel.n_days:
-        raise IndexError(f"day index {t} outside panel of {panel.n_days} days")
-    country = panel.counts.sum(axis=0)
-    phi = 0.0
-    for tau, wt in zip(w.days, w.weights):
-        if t - tau >= 0:
-            phi += country[t - tau] * wt
-    if phi == 0.0:
-        return None
-    return float(country[t]) / phi
+    country = panel.counts.sum(axis=0, keepdims=True)
+    phi = _convolve(country, w)[0]
+    r_hat = [None if f == 0.0 else float(i) / f for i, f in zip(country[0], phi)]
+    return country[0], phi, r_hat
+
+
+def naive_r_hat(panel: IncidencePanel, w: GenerationTimePmf, t: int):
+    """Day t of ``naive_series``: I(t) / Phi(t), or None when Phi(t) = 0."""
+    _check_day(panel, t)
+    return naive_series(panel, w)[2][t]
 
 
 def negbin_logpmf(i: int, a: float, m: float) -> float:

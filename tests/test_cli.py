@@ -254,6 +254,19 @@ class TestExitCodes:
         assert "invalid case count" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["fit", "naive"])
+def test_negative_count_clamp_is_warned(command, tmp_path, capsys):
+    data = tmp_path / "neg.csv"
+    data.write_text(
+        "region_id,date,cases\n"
+        "a,2020-03-01,3\nb,2020-03-01,-2\n"
+        "a,2020-03-02,4\nb,2020-03-02,1\n"
+    )
+    rc = main([command, "--input", str(data), "--output-dir", str(tmp_path / "out")])
+    assert rc == 0
+    assert "countyrt: warning: clamped 1 negative counts to 0" in capsys.readouterr().err
+
+
 class TestSpecParsers:
     def test_schedule(self):
         assert parse_schedule("20:2.5,40:0.7") == ((20, 2.5), (40, 0.7))

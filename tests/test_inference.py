@@ -230,18 +230,6 @@ class TestFitPanel:
         assert [f.skip_reason for f in fits[: W.support_end]] == ["burn-in"] * 10
         assert not fits[10].skipped
 
-    def test_threads_do_not_change_results(self):
-        rng = np.random.default_rng(5)
-        panel = make_panel(rng.integers(0, 25, size=(5, 14)))
-        seq = fit_panel(panel, W, FitConfig(threads=1))
-        par = fit_panel(panel, W, FitConfig(threads=4))
-        for f1, f2 in zip(seq, par):
-            assert f1.skipped == f2.skipped
-            if not f1.skipped:
-                assert f1.params.a == f2.params.a
-                assert f1.params.s == f2.params.s
-                assert f1.r_tilde == f2.r_tilde
-
     def test_agrees_with_naive_on_homogeneous_high_incidence(self):
         rng = np.random.default_rng(11)
         K, T, R = 20, 26, 1.1

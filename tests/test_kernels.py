@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from countyrt import kernels, negbin_logpmf
-from countyrt.kernels import LOGPMF_SENTINEL, negloglik_numpy
+from countyrt.kernels import LOGPMF_SENTINEL, day_negloglik
 
 
 def literal_negloglik(counts, phi, a, s, p):
@@ -44,26 +44,8 @@ def random_cases(seed, n=30):
 
 def test_numpy_matches_literal():
     for counts, phi, a, s, p in random_cases(11):
-        assert negloglik_numpy(counts, phi, a, s, p) == pytest.approx(
+        assert day_negloglik(counts, phi, a, s, p) == pytest.approx(
             literal_negloglik(counts, phi, a, s, p), rel=1e-10, abs=1e-8
-        )
-
-
-def test_active_backend_matches_numpy():
-    for counts, phi, a, s, p in random_cases(12):
-        assert kernels.day_negloglik(counts, phi, a, s, p) == pytest.approx(
-            negloglik_numpy(counts, phi, a, s, p), rel=1e-10, abs=1e-10
-        )
-
-
-@pytest.mark.skipif(kernels.negloglik_jit is None, reason="numba backend unavailable")
-def test_jit_matches_numpy():
-    for counts, phi, a, s, p in random_cases(13):
-        jit_val = kernels.negloglik_jit(
-            np.ascontiguousarray(counts), np.ascontiguousarray(phi), a, s, p
-        )
-        assert jit_val == pytest.approx(
-            negloglik_numpy(counts, phi, a, s, p), rel=1e-10, abs=1e-10
         )
 
 

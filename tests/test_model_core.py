@@ -19,6 +19,7 @@ from countyrt import (
     posterior,
     trapezoid_pmf,
 )
+from countyrt.model import phi_matrix
 
 
 def make_panel(counts, start=datetime.date(2020, 3, 1)):
@@ -123,6 +124,14 @@ class TestComputePhi:
             compute_phi(make_panel(a), w, t) + compute_phi(make_panel(b), w, t),
             rtol=1e-12,
         )
+
+    def test_matches_phi_matrix_columns_exactly(self):
+        rng = np.random.default_rng(8)
+        panel = make_panel(rng.integers(0, 50, size=(6, 25)))
+        w = trapezoid_pmf(2, 3, 4, 3)
+        phi = phi_matrix(panel, w)
+        for t in range(panel.n_days):
+            assert np.array_equal(compute_phi(panel, w, t), phi[:, t])
 
 
 class TestComputeLambda:
