@@ -210,13 +210,27 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _parse_quantiles(spec: str) -> tuple:
+    """Quantile probabilities from "0.05,0.5,0.95" and their column names (q05, ...)."""
+    try:
+        probs = tuple(float(q) for q in spec.split(","))
+    except ValueError:
+        raise UsageError(f"--quantiles {spec!r} is not a list of numbers") from None
+    if any(not 0.0 < q < 1.0 for q in probs):
+        raise UsageError("--quantiles must be in (0, 1)")
+    names = [f"q{int(round(q * 100)):02d}" for q in probs]
+    if len(set(names)) != len(names):
+        raise UsageError(f"--quantiles {spec!r} gives duplicate columns {names}")
+    return probs, names
+
+
 def cmd_fit(args) -> int:
     opts = _resolve(args, FIT_SPEC)
     if not 0.0 < opts["level"] < 1.0:
         raise UsageError("--level must be in (0, 1)")
     if opts["backdate_days"] < 0:
         raise UsageError("--backdate-days must be >= 0")
-    quantile_probs = tuple(float(q) for q in opts["quantiles"].split(","))
+    quantile_probs, q_names = _parse_quantiles(opts["quantiles"])
     w = parse_gen_time(opts["gen_time"])
     panel = _load_panel(args.input)
     outdir = Path(args.output_dir)
@@ -264,7 +278,6 @@ def cmd_fit(args) -> int:
                     ]
                 )
 
-    q_names = [f"q{int(round(q * 100)):02d}" for q in quantile_probs]
     with open(outdir / "county_estimates.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["date", "region_id", "lambda", "cases", "post_mean"] + q_names)

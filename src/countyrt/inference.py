@@ -34,7 +34,8 @@ from .optim import (
     to_transformed,
 )
 
-P_CURVATURE_FLOOR = 1e-10
+# dLambda/dp below this fraction of max(Phi) everywhere leaves p unidentified.
+P_IDENTIFIABLE_RTOL = 1e-12
 
 
 @dataclass
@@ -140,6 +141,17 @@ def _pinv_information(H: np.ndarray):
     return (vecs * inv_vals) @ vecs.T
 
 
+def p_moves_lambda(phi: np.ndarray) -> bool:
+    """Whether the transfer fraction p changes Lambda, so the data can identify it.
+
+    Lambda is linear in p with slope (sum(Phi) - Phi)/(K-1) - Phi. It is
+    zero only when Phi is the same in every region, and then the
+    likelihood is exactly flat in p.
+    """
+    slope = (phi.sum() - phi) / (phi.shape[0] - 1.0) - phi
+    return bool(np.abs(slope).max() > P_IDENTIFIABLE_RTOL * phi.max())
+
+
 def _fit_counts_phi(counts: np.ndarray, phi: np.ndarray, config: FitConfig) -> DayParams:
     counts = np.ascontiguousarray(counts, dtype=np.float64)
     phi = np.ascontiguousarray(phi, dtype=np.float64)
@@ -159,12 +171,9 @@ def _fit_counts_phi(counts: np.ndarray, phi: np.ndarray, config: FitConfig) -> D
     # in the near-Poisson a -> inf ridge), then mapped to natural
     # coordinates: cov_x = J cov_u J^T with J = diag(a, s, p(1-p)).
     cov = None
-    p_identifiable = not at_clamp
     try:
         u_hat = to_transformed(a, s, p)
         H_u = numeric_hessian(objective, u_hat, step=config.hessian_step)
-        if H_u[2, 2] < P_CURVATURE_FLOOR:
-            p_identifiable = False
         cov_u = invert_3x3_spd(H_u)
         if cov_u is None:
             cov_u = _pinv_information(H_u)
@@ -180,7 +189,7 @@ def _fit_counts_phi(counts: np.ndarray, phi: np.ndarray, config: FitConfig) -> D
         cov=cov,
         converged=res.converged,
         log_likelihood=-res.fun,
-        p_identifiable=p_identifiable,
+        p_identifiable=not at_clamp and p_moves_lambda(phi),
     )
 
 

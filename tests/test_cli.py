@@ -254,6 +254,32 @@ class TestExitCodes:
         assert "invalid case count" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "quantiles",
+    [
+        "abc",  # not a number
+        "1.5",  # outside (0, 1)
+        "0.05,0.054,0.5",  # two columns named q05
+    ],
+)
+def test_bad_quantiles_are_usage_errors(quantiles, sim_dir, tmp_path, capsys):
+    out = tmp_path / "q"
+    rc = main(
+        [
+            "fit",
+            "--input",
+            str(sim_dir / "panel.csv"),
+            "--output-dir",
+            str(out),
+            "--quantiles",
+            quantiles,
+        ]
+    )
+    assert rc == 1
+    assert "countyrt: error: --quantiles" in capsys.readouterr().err
+    assert not (out / "county_estimates.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["fit", "naive"])
 def test_negative_count_clamp_is_warned(command, tmp_path, capsys):
     data = tmp_path / "neg.csv"

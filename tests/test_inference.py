@@ -16,11 +16,14 @@ from countyrt import (
     day_neg_loglik,
     fit_day,
     fit_panel,
+    kernels,
     naive_r_hat,
     r_tilde_ci,
     trapezoid_pmf,
 )
+from countyrt.inference import p_moves_lambda
 from countyrt.model import GenerationTimePmf
+from countyrt.optim import LOGIT_CLAMP
 
 W = trapezoid_pmf(1, 3, 4, 3)
 
@@ -181,6 +184,63 @@ class TestFitDay:
         f2 = fit_day(tiled, W, 12)
         assert f2.params.a == pytest.approx(f1.params.a, rel=1e-3)
         assert f2.params.s == pytest.approx(f1.params.s, rel=1e-3)
+
+
+def panel_with_transfers(seed, p_true=0.3, K=30):
+    """Constant but region-specific histories (Phi_c = level_c) and one day
+    of overdispersed counts drawn around Lambda(p_true)."""
+    rng = np.random.default_rng(seed)
+    levels = rng.integers(5, 200, size=K)
+    hist = np.repeat(levels[:, None], W.support_end, axis=1)
+    lam = compute_lambda(levels.astype(float), p_true)
+    day = rng.poisson(rng.gamma(20.0, 1.2 / 20.0, size=K) * lam)
+    return make_panel(np.column_stack([hist, day])), W.support_end
+
+
+def p_interior(params):
+    return abs(math.log(params.p / (1.0 - params.p))) < LOGIT_CLAMP - 1e-9
+
+
+class TestPIdentifiable:
+    def test_heterogeneous_phi_identifies_p(self):
+        panel, t = panel_with_transfers(5)
+        fit = fit_day(panel, W, t)
+        assert p_interior(fit.params)
+        assert fit.params.p_identifiable
+
+    def test_rule_is_exact_on_phi(self):
+        assert not p_moves_lambda(np.full(3136, 17.3))
+        phi = np.full(400, 50.0)
+        phi[7] = 50.0 * (1.0 + 1e-9)
+        assert p_moves_lambda(phi)
+
+    @pytest.mark.parametrize("homogeneous", [True, False])
+    def test_flag_depends_only_on_phi(self, homogeneous, monkeypatch):
+        if homogeneous:
+            rng = np.random.default_rng(42)
+            panel, t = panel_with_constant_phi(50, rng.poisson(60, size=40))
+        else:
+            panel, t = panel_with_transfers(6)
+        expected = p_moves_lambda(compute_phi(panel, W, t))
+        assert expected is not homogeneous
+        configs = [
+            FitConfig(),
+            FitConfig(restarts=0, tol=1e-4),
+            FitConfig(restarts=2, hessian_step=1e-3),
+        ]
+        fits = [fit_day(panel, W, t, config).params for config in configs]
+        # a kernel with added curvature in p moves the optimizer and the
+        # Hessian, but not the flag
+        exact = kernels.day_negloglik
+        monkeypatch.setattr(
+            kernels,
+            "day_negloglik",
+            lambda c, phi, a, s, p: exact(c, phi, a, s, p) + 1e-3 * (p - 0.3) ** 2,
+        )
+        bent = fit_day(panel, W, t).params
+        assert p_interior(bent)
+        for params in fits + [bent]:
+            assert params.p_identifiable is (expected and p_interior(params))
 
 
 class TestRTildeCi:

@@ -91,3 +91,59 @@ def test_impossible_observation_uses_sentinel():
         np.array([2.0, 0.0]), np.zeros(2), 1.0, 1.0, 0.0
     )
     assert val == pytest.approx(-LOGPMF_SENTINEL)
+
+
+def mp_log_rising(a, i):
+    import mpmath
+
+    with mpmath.workdps(60):
+        return mpmath.loggamma(mpmath.mpf(a) + int(i)) - mpmath.loggamma(mpmath.mpf(a))
+
+
+RISING_COUNTS = [0, 1, 2, 5, 63, 64, 65, 100, 1_000, 12_345, 100_000, 1_000_000, 10_000_000]
+
+
+@pytest.mark.parametrize("a", [1.0, 9.999, 10.0, 1e4, 1e8, 1e13])
+def test_log_rising_factorial_matches_mpmath(a):
+    pytest.importorskip("mpmath")
+    # a small-count array takes the table, a large-count one the O(1) form
+    for counts in (RISING_COUNTS[:6], RISING_COUNTS):
+        got = kernels.log_rising_factorial(a, np.array(counts, dtype=float))
+        for g, i in zip(got, counts):
+            ref = float(mp_log_rising(a, i))
+            assert abs(g - ref) <= 1e-14 * max(abs(ref), 1.0), (a, i)
+
+
+def mp_negloglik(counts, phi, a, s, p):
+    """-sum log NB(I_c; a, s Lambda_c), every term in 60-digit arithmetic."""
+    import mpmath
+
+    K = len(phi)
+    total = sum(phi)
+    with mpmath.workdps(60):
+        nll = mpmath.mpf(0)
+        for i, ph in zip(counts, phi):
+            m = mpmath.mpf(s) * ((1 - mpmath.mpf(p)) * ph + mpmath.mpf(p) * (total - ph) / (K - 1))
+            nll -= (
+                mp_log_rising(a, i)
+                - mpmath.loggamma(int(i) + 1)
+                + int(i) * mpmath.log(m / (1 + m))
+                - mpmath.mpf(a) * mpmath.log1p(m)
+            )
+        return float(nll)
+
+
+@pytest.mark.parametrize("a", [0.5, 3.0, 9.99, 10.0, 250.0, 1e4, 1e8, 1e13])
+def test_large_counts_match_mpmath_literal(a):
+    pytest.importorskip("mpmath")
+    rng = np.random.default_rng(int(math.log(a) * 1000) % 2**32)
+    K = 12
+    phi = rng.uniform(10.0, 1e5, size=K)
+    counts = rng.poisson(1.2 * phi).astype(float)
+    counts[:2] = [0.0, 1e5]
+    p = float(rng.uniform(0.0, 0.5))
+    s = 1.2 / a
+    got = day_negloglik(counts, phi, a, s, p)
+    # terms of size ~1e6 per region cancel to ~1e1, which leaves float64
+    # about 1e-11 relative on the sum
+    assert got == pytest.approx(mp_negloglik(counts, phi, a, s, p), rel=1e-10)
