@@ -4,7 +4,7 @@ modeling, with a spatial branching-process simulator for validation."""
 __version__ = "0.1.0"
 
 from .inference import (
-    CountyEstimate,
+    CountyPosteriors,
     DayFit,
     DayParams,
     FitConfig,
@@ -38,7 +38,7 @@ from .simulator import (
 )
 
 __all__ = [
-    "CountyEstimate",
+    "CountyPosteriors",
     "DayFit",
     "DayParams",
     "FitConfig",

@@ -14,6 +14,8 @@ import argparse
 import csv
 import dataclasses
 import datetime
+import io
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -21,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .inference import FitConfig, backdate, county_estimates, fit_panel
+from .inference import CountyPosteriors, FitConfig, backdate, county_estimates, fit_panel
 from .ingest import PanelFormatError, load_panel, write_panel
 from .model import GenerationTimePmf, naive_series, trapezoid_pmf
 from .simulator import SimConfig, simulate
@@ -224,6 +226,37 @@ def _parse_quantiles(spec: str) -> tuple:
     return probs, names
 
 
+def _csv_field(value: str) -> str:
+    """``value`` as ``csv.writer`` writes it in a row, quoted where it must be."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([value, ""])
+    return buf.getvalue()[: -len(",\r\n")]
+
+
+def _write_county_csv(
+    path, counties: CountyPosteriors, q_names: list, shift: datetime.timedelta
+) -> None:
+    """One row per (day, county), in the bytes ``csv.writer`` and ``_fmt`` give.
+
+    Each day's rows come from one ``%`` format over whole columns; numbers
+    use ``%.10g`` like ``_fmt``, and region ids are quoted once, not per row.
+    """
+    row = "%s,%s,%.10g,%d,%.10g" + ",%.10g" * len(q_names) + "\r\n"
+    ids = [_csv_field(r) for r in counties.region_ids]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(["date", "region_id", "lambda", "cases", "post_mean"] + q_names)
+        for d, day in enumerate(counties.dates):
+            columns = zip(
+                itertools.repeat((day - shift).isoformat()),
+                ids,
+                counties.lambda_c[d].tolist(),
+                counties.cases[d].tolist(),
+                counties.mean[d].tolist(),
+                *counties.quantiles[d].T.tolist(),
+            )
+            fh.write("".join(map(row.__mod__, columns)))
+
+
 def cmd_fit(args) -> int:
     opts = _resolve(args, FIT_SPEC)
     if not 0.0 < opts["level"] < 1.0:
@@ -278,20 +311,7 @@ def cmd_fit(args) -> int:
                     ]
                 )
 
-    with open(outdir / "county_estimates.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "region_id", "lambda", "cases", "post_mean"] + q_names)
-        for est in counties:
-            writer.writerow(
-                [
-                    (est.date - shift).isoformat(),
-                    est.region_id,
-                    _fmt(est.lambda_c),
-                    est.i_c,
-                    _fmt(est.posterior_mean),
-                ]
-                + [_fmt(est.quantiles[q]) for q in quantile_probs]
-            )
+    _write_county_csv(outdir / "county_estimates.csv", counties, q_names, shift)
     _write_meta(
         outdir,
         "fit",

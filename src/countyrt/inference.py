@@ -16,15 +16,11 @@ import numpy as np
 from scipy import special
 
 from . import kernels
-from .model import (
-    GenerationTimePmf,
-    IncidencePanel,
-    compute_lambda,
-    compute_phi,
-    gamma_quantile,
-    phi_matrix,
-    posterior,
-)
+from .model import GenerationTimePmf, IncidencePanel, compute_phi, phi_matrix
+
+# The scalar reference that county_estimates matches exactly. perfbench
+# counts calls to these names on this module, so they stay importable here.
+from .model import gamma_quantile, posterior  # noqa: F401
 from .optim import (
     LOGIT_CLAMP,
     from_transformed,
@@ -78,14 +74,21 @@ class DayFit:
     skip_reason: str | None = None
 
 
-@dataclass
-class CountyEstimate:
-    date: datetime.date
-    region_id: str
-    posterior_mean: float
-    quantiles: dict
-    lambda_c: float
-    i_c: int
+@dataclass(frozen=True, eq=False)
+class CountyPosteriors:
+    """Gamma posteriors of R_c for every fitted day d and county c.
+
+    The arrays have shape (D, K), and ``quantiles`` (D, K, Q) with its last
+    axis following ``quantile_probs``; row d belongs to ``dates[d]``.
+    """
+
+    dates: tuple
+    region_ids: tuple
+    lambda_c: np.ndarray
+    cases: np.ndarray
+    mean: np.ndarray
+    quantile_probs: tuple
+    quantiles: np.ndarray
 
 
 def day_neg_loglik(
@@ -155,10 +158,11 @@ def p_moves_lambda(phi: np.ndarray) -> bool:
 def _fit_counts_phi(counts: np.ndarray, phi: np.ndarray, config: FitConfig) -> DayParams:
     counts = np.ascontiguousarray(counts, dtype=np.float64)
     phi = np.ascontiguousarray(phi, dtype=np.float64)
+    log_factorial = special.gammaln(counts + 1.0)
 
     def objective(u):
         a, s, p = from_transformed(u)
-        return kernels.day_negloglik(counts, phi, a, s, p)
+        return kernels.day_negloglik(counts, phi, a, s, p, log_factorial)
 
     u0 = to_transformed(*_moment_start(counts, phi))
     res = nelder_mead(objective, u0, tol=config.tol, max_iter=config.max_iter)
@@ -264,31 +268,52 @@ def county_estimates(
     w: GenerationTimePmf,
     fits: list,
     config: FitConfig | None = None,
-) -> list:
-    """Posterior mean and quantiles of R_c for every (unskipped day, county)."""
+) -> CountyPosteriors:
+    """Posterior mean and quantiles of R_c for every (unskipped day, county).
+
+    Array form of ``posterior`` and ``gamma_quantile`` at each day's fitted
+    (a, s, p): shape a + I_c and scale s / (1 + s Lambda_c), with Lambda
+    computed as in ``compute_lambda``. The results equal the scalar ones
+    exactly.
+    """
     config = config or FitConfig()
+    K = panel.n_regions
     date_to_t = {d: t for t, d in enumerate(panel.dates)}
-    phi = phi_matrix(panel, w)
-    out = []
-    for fit in fits:
-        if fit.skipped or fit.params is None:
-            continue
-        t = date_to_t[fit.date]
-        lam = compute_lambda(phi[:, t], fit.params.p)
-        for c, region in enumerate(panel.region_ids):
-            i_c = int(panel.counts[c, t])
-            post = posterior(fit.params.a, fit.params.s, float(lam[c]), i_c)
-            out.append(
-                CountyEstimate(
-                    date=fit.date,
-                    region_id=region,
-                    posterior_mean=post.mean,
-                    quantiles={q: gamma_quantile(post, q) for q in config.quantile_probs},
-                    lambda_c=float(lam[c]),
-                    i_c=i_c,
-                )
-            )
-    return out
+    fitted = [f for f in fits if not f.skipped and f.params is not None]
+    days = [date_to_t[f.date] for f in fitted]
+    a, s, p = (
+        np.array([getattr(f.params, name) for f in fitted], dtype=np.float64)[:, None]
+        for name in "asp"
+    )
+    if fitted and K < 2:
+        raise ValueError("transfer redistribution requires at least 2 regions")
+    if np.any((p < 0.0) | (p > 1.0)):
+        raise ValueError("transfer fraction must be in [0, 1]")
+    if np.any((a <= 0.0) | (s <= 0.0)):
+        raise ValueError("prior shape and scale must be positive")
+    # one contiguous row per day, so each row sums in compute_lambda's order
+    phi = np.ascontiguousarray(phi_matrix(panel, w)[:, days].T)
+    total = phi.sum(axis=1, keepdims=True)
+    lam = (1.0 - p) * phi + p * (total - phi) / (K - 1)
+    if np.any(lam < 0.0):
+        raise ValueError("lambda must be nonnegative")
+    cases = np.ascontiguousarray(panel.counts[:, days].T)
+    if np.any(cases < 0):
+        raise ValueError("count must be a nonnegative integer")
+    shape = a + cases
+    scale = s / (1.0 + s * lam)
+    if np.any((shape <= 0.0) | (scale <= 0.0)):
+        raise ValueError("shape and scale must be positive")
+    probs = np.asarray(config.quantile_probs, dtype=np.float64)
+    return CountyPosteriors(
+        dates=tuple(f.date for f in fitted),
+        region_ids=panel.region_ids,
+        lambda_c=lam,
+        cases=cases,
+        mean=shape * scale,
+        quantile_probs=tuple(config.quantile_probs),
+        quantiles=special.gammaincinv(shape[..., None], probs) * scale[..., None],
+    )
 
 
 def backdate(fits: list, days: int) -> list:

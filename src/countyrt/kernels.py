@@ -11,6 +11,11 @@ factorial lgamma(a+i) - lgamma(a), computed in one of two regimes:
   with log1p, which stays accurate up to the a ~ e^30 Poisson ridge;
   below that the plain gammaln difference has no cancellation to lose.
 
+The other count term, the log-factorial lgamma(i + 1), does not depend
+on (a, s, p). It is a per-day constant that the caller computes once per
+fitted day and passes in, so the kernel does not recompute it on every
+evaluation.
+
 Inside the optimizer, impossible observations (i > 0 with mean 0) use a
 large finite sentinel instead of -inf so the simplex stays ordered.
 """
@@ -60,29 +65,39 @@ def log_rising_factorial(a: float, counts: np.ndarray) -> np.ndarray:
     )
 
 
-def day_negloglik(counts, phi, a, s, p):
+def _log_nb_terms(a, counts, m, log_factorial):
+    """log NB(i; a, m) for positive m: the rising factorial, the count's
+    log-factorial and the two mean terms."""
+    return (
+        log_rising_factorial(a, counts)
+        - log_factorial
+        + counts * np.log(m / (1.0 + m))
+        - a * np.log1p(m)
+    )
+
+
+def day_negloglik(counts, phi, a, s, p, log_factorial=None):
     """Negative log-likelihood of one day's counts.
 
     Sums -log NB(I_c; a, s * Lambda_c) over regions, with Lambda the
     transfer redistribution of phi. Accepts p slightly outside [0, 1]
     (needed for finite-difference Hessians at boundary fits).
+
+    ``log_factorial`` is lgamma(counts + 1), a constant of the day that a
+    caller evaluating one day many times computes once and passes in;
+    when it is left out it is computed here.
     """
     counts = np.asarray(counts, dtype=np.float64)
     phi = np.asarray(phi, dtype=np.float64)
+    if log_factorial is None:
+        log_factorial = special.gammaln(counts + 1.0)
     K = phi.shape[0]
     lam = (1.0 - p) * phi + p * (phi.sum() - phi) / (K - 1.0)
     m = s * lam
-    ll = np.empty(K)
     bad = m <= 0.0
-    ll[bad] = np.where(counts[bad] > 0, LOGPMF_SENTINEL, 0.0)
+    if not bad.any():
+        return -float(_log_nb_terms(a, counts, m, log_factorial).sum())
     ok = ~bad
-    if np.any(ok):
-        mo = m[ok]
-        io = counts[ok]
-        ll[ok] = (
-            log_rising_factorial(a, io)
-            - special.gammaln(io + 1.0)
-            + io * np.log(mo / (1.0 + mo))
-            - a * np.log1p(mo)
-        )
+    ll = np.where(counts > 0, LOGPMF_SENTINEL, 0.0)
+    ll[ok] = _log_nb_terms(a, counts[ok], m[ok], log_factorial[ok])
     return -float(ll.sum())

@@ -1,11 +1,14 @@
 import csv
+import datetime
+import io
 import json
 
 import numpy as np
 import pytest
 
 from countyrt.cli import main, parse_gen_time, parse_schedule
-from countyrt.ingest import load_panel
+from countyrt.ingest import load_panel, write_panel
+from countyrt.model import IncidencePanel
 
 SIM_ARGS = [
     "simulate",
@@ -291,6 +294,26 @@ def test_negative_count_clamp_is_warned(command, tmp_path, capsys):
     rc = main([command, "--input", str(data), "--output-dir", str(tmp_path / "out")])
     assert rc == 0
     assert "countyrt: warning: clamped 1 negative counts to 0" in capsys.readouterr().err
+
+
+def test_region_ids_that_need_quoting_round_trip(tmp_path):
+    ids = ("Lake, County", 'St. "Mary"', 'both, "of" them', "plain")
+    counts = np.random.default_rng(3).integers(1, 30, size=(len(ids), 14))
+    dates = tuple(datetime.date(2020, 3, 1) + datetime.timedelta(days=t) for t in range(14))
+    write_panel(IncidencePanel(ids, dates, counts), tmp_path / "panel.csv")
+    out = tmp_path / "fit"
+    rc = main(["fit", "--input", str(tmp_path / "panel.csv"), "--output-dir", str(out)])
+    assert rc == 0
+    rows = read_rows(out / "county_estimates.csv")
+    fitted_days = sorted({r["date"] for r in rows})
+    assert len(fitted_days) == 4
+    for day in fitted_days:
+        assert [r["region_id"] for r in rows if r["date"] == day] == sorted(ids)
+    text = (out / "county_estimates.csv").read_bytes().decode("utf-8")
+    with open(out / "county_estimates.csv", newline="", encoding="utf-8") as fh:
+        expected = io.StringIO()
+        csv.writer(expected).writerows(csv.reader(fh))
+    assert text == expected.getvalue()
 
 
 class TestSpecParsers:

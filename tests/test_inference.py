@@ -1,5 +1,6 @@
 import datetime
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,13 +17,15 @@ from countyrt import (
     day_neg_loglik,
     fit_day,
     fit_panel,
+    gamma_quantile,
     kernels,
     naive_r_hat,
+    posterior,
     r_tilde_ci,
     trapezoid_pmf,
 )
 from countyrt.inference import p_moves_lambda
-from countyrt.model import GenerationTimePmf
+from countyrt.model import GenerationTimePmf, phi_matrix
 from countyrt.optim import LOGIT_CLAMP
 
 W = trapezoid_pmf(1, 3, 4, 3)
@@ -235,7 +238,7 @@ class TestPIdentifiable:
         monkeypatch.setattr(
             kernels,
             "day_negloglik",
-            lambda c, phi, a, s, p: exact(c, phi, a, s, p) + 1e-3 * (p - 0.3) ** 2,
+            lambda c, phi, a, s, p, *day: exact(c, phi, a, s, p, *day) + 1e-3 * (p - 0.3) ** 2,
         )
         bent = fit_day(panel, W, t).params
         assert p_interior(bent)
@@ -324,40 +327,41 @@ class TestCountyEstimates:
         fit = fits[11]
         lam = compute_lambda(compute_phi(panel, W, 11), fit.params.p)
         ests = county_estimates(panel, W, [fit], config)
-        by_region = {e.region_id: e for e in ests}
+        assert ests.dates == (fit.date,)
         # county 0 still receives transfer mass, so check the closed form
         for c, region in enumerate(panel.region_ids):
             expected = (fit.params.a + panel.counts[c, 11]) * fit.params.s / (
                 1 + fit.params.s * lam[c]
             )
-            assert by_region[region].posterior_mean == pytest.approx(expected)
+            assert ests.mean[0, ests.region_ids.index(region)] == pytest.approx(expected)
 
     def test_shrinkage_bracketing(self):
         rng = np.random.default_rng(17)
         counts = rng.integers(0, 35, size=(8, 13))
         panel, fits, ests = self._fitted(counts)
-        for est in ests:
-            if est.lambda_c <= 0:
+        for (d, c), lam in np.ndenumerate(ests.lambda_c):
+            if lam <= 0:
                 continue
-            fit = next(f for f in fits if f.date == est.date)
+            fit = next(f for f in fits if f.date == ests.dates[d])
             prior_mean = fit.params.a * fit.params.s
-            ratio = est.i_c / est.lambda_c
+            ratio = ests.cases[d, c] / lam
             lo, hi = sorted((prior_mean, ratio))
-            assert lo - 1e-9 <= est.posterior_mean <= hi + 1e-9
+            assert lo - 1e-9 <= ests.mean[d, c] <= hi + 1e-9
 
     def test_quantiles_monotone(self):
         rng = np.random.default_rng(19)
         counts = rng.integers(0, 35, size=(5, 12))
         _, _, ests = self._fitted(counts)
-        for est in ests:
-            qs = sorted(est.quantiles)
-            vals = [est.quantiles[q] for q in qs]
-            assert all(a <= b for a, b in zip(vals, vals[1:]))
+        vals = ests.quantiles[..., np.argsort(ests.quantile_probs)]
+        assert np.all(vals[..., :-1] <= vals[..., 1:])
 
     def test_skipped_days_produce_no_rows(self):
         panel = make_panel(np.zeros((3, 12), dtype=int))
         fits = fit_panel(panel, W)
-        assert county_estimates(panel, W, fits) == []
+        ests = county_estimates(panel, W, fits)
+        assert ests.dates == ()
+        assert ests.mean.size == 0
+        assert ests.quantiles.shape == (0, 3, 3)
 
     def test_data_dominates_with_large_counts(self):
         K = 10
@@ -366,10 +370,49 @@ class TestCountyEstimates:
         panel, t = panel_with_constant_phi(5000, day)
         fits = [fit_day(panel, W, t)]
         ests = county_estimates(panel, W, fits)
-        est0 = next(e for e in ests if e.region_id == "r000")
-        assert est0.posterior_mean == pytest.approx(
-            est0.i_c / est0.lambda_c, rel=0.05
+        c0 = ests.region_ids.index("r000")
+        assert ests.mean[0, c0] == pytest.approx(
+            ests.cases[0, c0] / ests.lambda_c[0, c0], rel=0.05
         )
+
+    def test_equals_scalar_posterior_exactly(self):
+        # wide enough that summing Phi in another order changes its rounding
+        rng = np.random.default_rng(29)
+        counts = rng.integers(0, 40, size=(300, 14))
+        counts[0, :] = 0  # Phi = 0 on every day
+        counts[1, :11] = 0  # Phi = 0 on the first fitted day only
+        panel = make_panel(counts)
+        config = FitConfig(quantile_probs=(0.025, 0.5, 0.9, 0.975))
+        fits = fit_panel(panel, W, config)
+        ests = county_estimates(panel, W, fits, config)
+        fitted = [f for f in fits if not f.skipped]
+        assert ests.dates == tuple(f.date for f in fitted)
+        assert ests.region_ids == panel.region_ids
+        phi = phi_matrix(panel, W)
+        assert np.any(phi[:, [panel.dates.index(d) for d in ests.dates]] == 0.0)
+        for d, fit in enumerate(fitted):
+            t = panel.dates.index(fit.date)
+            lam = compute_lambda(phi[:, t], fit.params.p)
+            for c in range(panel.n_regions):
+                i_c = int(panel.counts[c, t])
+                post = posterior(fit.params.a, fit.params.s, float(lam[c]), i_c)
+                assert ests.lambda_c[d, c] == lam[c]
+                assert ests.cases[d, c] == i_c
+                assert ests.mean[d, c] == post.mean
+                for j, q in enumerate(config.quantile_probs):
+                    assert ests.quantiles[d, c, j] == gamma_quantile(post, q)
+
+    @pytest.mark.parametrize(
+        "params",
+        [dict(a=-0.5), dict(s=0.0), dict(p=1.5)],
+        ids=["a", "s", "p"],
+    )
+    def test_domain_errors(self, params):
+        panel = make_panel(np.random.default_rng(31).integers(1, 9, size=(4, 12)))
+        fit = fit_panel(panel, W)[11]
+        bad = replace(fit, params=replace(fit.params, **params))
+        with pytest.raises(ValueError):
+            county_estimates(panel, W, [bad])
 
 
 class TestBackdate:

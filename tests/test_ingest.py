@@ -124,6 +124,33 @@ class TestLoadPanel:
                 write_csv(tmp_path, "wrong,header,names\na,2020-03-01,1\n", "hdr.csv")
             )
 
+        # deep in a long file the error still names its own line, and the
+        # first bad line wins whatever rule it breaks
+        base = datetime.date(2020, 3, 1)
+        lines = ["region_id,date,cases"] + [
+            f"r{n % 97},{base + datetime.timedelta(days=n // 97)},{n % 13}"
+            for n in range(6000)
+        ]
+
+        def broken(*edits):
+            text = list(lines)
+            for lineno, line in edits:
+                text[lineno - 1] = line
+            return write_csv(tmp_path, "\n".join(text) + "\n", "long.csv")
+
+        load_panel(broken())
+        cases = [
+            ([(5003, "r1,2020-13-01,4")], "5003: invalid date '2020-13-01'"),
+            ([(5417, "r2,2020-03-02,4.5")], "5417: invalid case count '4.5'"),
+            ([(5999, "region_id,date,cases")], "5999: duplicate header row"),
+            ([(5200, "r3,2020-03-02,x"), (5100, "r3,someday,1")], "5100: invalid date"),
+            ([(5100, "r3,2020-03-02,x"), (5200, "r3,someday,1")], "5100: invalid case count"),
+            ([(5050, " ,2020-03-02,1"), (5060, "r1,2020-03-02")], "5050: empty region id"),
+        ]
+        for edits, message in cases:
+            with pytest.raises(PanelFormatError, match=f"long.csv:{message}"):
+                load_panel(broken(*edits))
+
 
 class TestRoundTrip:
     def test_canonical_round_trip_is_byte_identical(self, tmp_path):

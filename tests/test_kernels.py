@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from countyrt import kernels, negbin_logpmf
 from countyrt.kernels import LOGPMF_SENTINEL, day_negloglik
@@ -147,3 +148,45 @@ def test_large_counts_match_mpmath_literal(a):
     # terms of size ~1e6 per region cancel to ~1e1, which leaves float64
     # about 1e-11 relative on the sum
     assert got == pytest.approx(mp_negloglik(counts, phi, a, s, p), rel=1e-10)
+
+
+def kernel_constant_days():
+    rng = np.random.default_rng(5)
+    # regions with Phi = 0 have mean 0 at p = 0 and are masked out
+    zero_mean = (np.array([0.0, 3.0, 0.0, 7.0]), np.array([0.0, 4.0, 0.0, 6.0]), 0.0)
+    phi = rng.uniform(0.5, 40.0, size=50)
+    table = (rng.poisson(phi).astype(float), phi, 0.3)
+    phi = rng.uniform(50.0, 1e4, size=50)
+    large = (rng.poisson(phi).astype(float), phi, 0.05)
+    assert zero_mean[0].max() <= 64 < large[0].max() and table[0].max() <= 64
+    return {"zero-mean": zero_mean, "table": table, "large-counts": large}
+
+
+def masked_negloglik(counts, phi, a, s, p):
+    """The kernel's sum with lgamma(i + 1) computed inline, every term masked."""
+    K = phi.shape[0]
+    lam = (1.0 - p) * phi + p * (phi.sum() - phi) / (K - 1.0)
+    m = s * lam
+    ll = np.empty(K)
+    bad = m <= 0.0
+    ll[bad] = np.where(counts[bad] > 0, LOGPMF_SENTINEL, 0.0)
+    ok = ~bad
+    mo, io = m[ok], counts[ok]
+    ll[ok] = (
+        kernels.log_rising_factorial(a, io)
+        - special.gammaln(io + 1.0)
+        + io * np.log(mo / (1.0 + mo))
+        - a * np.log1p(mo)
+    )
+    return -float(ll.sum())
+
+
+@pytest.mark.parametrize("day", ["zero-mean", "table", "large-counts"])
+def test_precomputed_log_factorial_is_bit_identical(day):
+    counts, phi, p = kernel_constant_days()[day]
+    log_factorial = special.gammaln(counts + 1.0)
+    for a in (0.7, 12.0, 3e5, 1e13):
+        for s in (0.02, 1.3, 40.0 / a):
+            with_constant = day_negloglik(counts, phi, a, s, p, log_factorial)
+            assert with_constant == day_negloglik(counts, phi, a, s, p), (a, s)
+            assert with_constant == masked_negloglik(counts, phi, a, s, p), (a, s)
