@@ -2,7 +2,8 @@
 
 All commands write plot-ready CSV plus a meta.json recording the resolved
 options, so a run can be reproduced exactly. A simple key=value config
-file can supply any long option; explicit flags win.
+file can supply any long option but --input, --output-dir and --config;
+an unknown key is an error, and explicit flags win.
 
 Exit codes: 0 success, 1 usage error, 2 IO/parse error, 3 internal
 numeric failure that prevented any output.
@@ -58,17 +59,26 @@ def parse_gen_time(spec: str) -> GenerationTimePmf:
     if kind == "weights":
         rows = []
         with open(rest, newline="", encoding="utf-8") as fh:
-            for row in csv.reader(fh):
+            for lineno, row in enumerate(csv.reader(fh), start=1):
                 if not row or row[0].strip().lower() == "tau":
                     continue
-                rows.append((int(row[0]), float(row[1])))
+                try:
+                    rows.append((int(row[0]), float(row[1])))
+                except (ValueError, IndexError):
+                    raise PanelFormatError(
+                        f"{rest}:{lineno}: expected tau,weight: {row}"
+                    ) from None
         if not rows:
             raise PanelFormatError(f"{rest}: no weights found")
         rows.sort()
         taus = [t for t, _ in rows]
         if taus != list(range(taus[0], taus[0] + len(taus))):
             raise PanelFormatError(f"{rest}: weight days must be consecutive")
+        if taus[0] < 1:
+            raise PanelFormatError(f"{rest}: weight days must start at 1 or later")
         w = np.array([v for _, v in rows])
+        if not (np.all(np.isfinite(w)) and np.all(w >= 0) and w.sum() > 0):
+            raise PanelFormatError(f"{rest}: weights must be finite, nonnegative and not all zero")
         return GenerationTimePmf(taus[0], w / w.sum())
     raise UsageError(f"unknown generation-time spec {spec!r}")
 
@@ -85,7 +95,8 @@ def parse_schedule(spec: str) -> tuple:
     return tuple(out)
 
 
-def _read_config(path) -> dict:
+def _read_config(path, spec: dict) -> dict:
+    """The key=value lines of a config file; a key not in ``spec`` is an error."""
     cfg = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -94,14 +105,17 @@ def _read_config(path) -> dict:
                 continue
             if "=" not in line:
                 raise PanelFormatError(f"{path}:{lineno}: expected key=value")
-            key, _, value = line.partition("=")
-            cfg[key.strip().replace("-", "_")] = value.strip()
+            name, _, value = line.partition("=")
+            key = name.strip().replace("-", "_")
+            if key not in spec:
+                raise PanelFormatError(f"{path}:{lineno}: unknown option {name.strip()!r}")
+            cfg[key] = value.strip()
     return cfg
 
 
 def _resolve(args, spec: dict) -> dict:
     """Merge CLI flags (highest), config file, and defaults."""
-    cfg = _read_config(args.config) if getattr(args, "config", None) else {}
+    cfg = _read_config(args.config, spec) if getattr(args, "config", None) else {}
     out = {}
     for key, (convert, default) in spec.items():
         val = getattr(args, key, None)

@@ -36,13 +36,8 @@ P_IDENTIFIABLE_RTOL = 1e-12
 
 @dataclass
 class FitConfig:
-    tol: float = 1e-8
-    max_iter: int = 2000
-    restarts: int = 1
-    hessian_step: float = 1e-4
     level: float = 0.95
     quantile_probs: tuple = (0.05, 0.5, 0.95)
-    burn_in: int | None = None  # None: generation-time support length
 
     def __post_init__(self):
         if not 0.0 < self.level < 1.0:
@@ -155,7 +150,7 @@ def p_moves_lambda(phi: np.ndarray) -> bool:
     return bool(np.abs(slope).max() > P_IDENTIFIABLE_RTOL * phi.max())
 
 
-def _fit_counts_phi(counts: np.ndarray, phi: np.ndarray, config: FitConfig) -> DayParams:
+def _fit_counts_phi(counts: np.ndarray, phi: np.ndarray) -> DayParams:
     counts = np.ascontiguousarray(counts, dtype=np.float64)
     phi = np.ascontiguousarray(phi, dtype=np.float64)
     log_factorial = special.gammaln(counts + 1.0)
@@ -165,9 +160,9 @@ def _fit_counts_phi(counts: np.ndarray, phi: np.ndarray, config: FitConfig) -> D
         return kernels.day_negloglik(counts, phi, a, s, p, log_factorial)
 
     u0 = to_transformed(*_moment_start(counts, phi))
-    res = nelder_mead(objective, u0, tol=config.tol, max_iter=config.max_iter)
-    for _ in range(config.restarts):
-        res = nelder_mead(objective, res.x, tol=config.tol, max_iter=config.max_iter)
+    res = nelder_mead(objective, u0)
+    # restart once from the first optimum, with a fresh simplex around it
+    res = nelder_mead(objective, res.x)
     a, s, p = from_transformed(res.x)
     at_clamp = abs(res.x[2]) >= LOGIT_CLAMP - 1e-9
 
@@ -177,7 +172,7 @@ def _fit_counts_phi(counts: np.ndarray, phi: np.ndarray, config: FitConfig) -> D
     cov = None
     try:
         u_hat = to_transformed(a, s, p)
-        H_u = numeric_hessian(objective, u_hat, step=config.hessian_step)
+        H_u = numeric_hessian(objective, u_hat)
         cov_u = invert_3x3_spd(H_u)
         if cov_u is None:
             cov_u = _pinv_information(H_u)
@@ -218,7 +213,7 @@ def r_tilde_ci(params: DayParams, level: float = 0.95):
 def _make_day_fit(date, counts, phi, config: FitConfig) -> DayFit:
     if phi.sum() <= 0:
         return DayFit(date, None, None, None, skipped=True, skip_reason="zero-phi")
-    params = _fit_counts_phi(counts, phi, config)
+    params = _fit_counts_phi(counts, phi)
     r = params.a * params.s
     return DayFit(date, params, r, r_tilde_ci(params, config.level), skipped=False)
 
@@ -246,18 +241,18 @@ def fit_panel(
     w: GenerationTimePmf,
     config: FitConfig | None = None,
 ) -> list:
-    """One DayFit per panel day; the leading burn-in days are skipped.
+    """One DayFit per panel day; the first ``w.support_end`` days are skipped.
 
-    Days are fitted independently of each other.
+    They are the burn-in, whose Phi lacks part of the generation-time
+    support. Days are fitted independently of each other.
     """
     config = config or FitConfig()
     if panel.n_regions < 2:
         raise ValueError("fitting requires at least 2 regions")
-    burn_in = config.burn_in if config.burn_in is not None else w.support_end
     phi = phi_matrix(panel, w)
     return [
         DayFit(date, None, None, None, skipped=True, skip_reason="burn-in")
-        if t < burn_in
+        if t < w.support_end
         else _make_day_fit(date, panel.counts[:, t], phi[:, t], config)
         for t, date in enumerate(panel.dates)
     ]

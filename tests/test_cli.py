@@ -209,6 +209,15 @@ class TestFitAndNaive:
         rows = read_rows(out / "country_estimates.csv")
         assert rows[0]["date"] == panel.dates[0].isoformat()
 
+    def test_unknown_config_key_is_an_error(self, tmp_path, capsys):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("k = 4\n# comment\nsead=3\n")
+        out = tmp_path / "sim"
+        rc = main(["simulate", "--output-dir", str(out), "--config", str(cfg)])
+        assert rc == 2
+        assert f"{cfg}:3: unknown option 'sead'" in capsys.readouterr().err
+        assert not (out / "panel.csv").exists()
+
 
 class TestExitCodes:
     def test_usage_error_unknown_flag(self, capsys):
@@ -314,6 +323,37 @@ def test_region_ids_that_need_quoting_round_trip(tmp_path):
         expected = io.StringIO()
         csv.writer(expected).writerows(csv.reader(fh))
     assert text == expected.getvalue()
+
+
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ("tau,weight\n1,1\n2,x\n", ":3: expected tau,weight"),
+        ("tau,weight\n1,1\n2\n", ":3: expected tau,weight"),
+        ("tau,weight\n1,1\n2,-0.5\n", ": weights must be finite, nonnegative"),
+        ("tau,weight\n0,1\n1,1\n", ": weight days must start at 1"),
+        ("tau,weight\n1,0\n2,0\n", ": weights must be finite, nonnegative and not all zero"),
+    ],
+    ids=["not-a-number", "one-field", "negative", "tau-0", "all-zero"],
+)
+def test_malformed_weights_file_is_a_parse_error(weights, message, sim_dir, tmp_path, capsys):
+    path = tmp_path / "w.csv"
+    path.write_text(weights)
+    out = tmp_path / "fit"
+    rc = main(
+        [
+            "fit",
+            "--input",
+            str(sim_dir / "panel.csv"),
+            "--output-dir",
+            str(out),
+            "--gen-time",
+            f"weights:{path}",
+        ]
+    )
+    assert rc == 2
+    assert f"countyrt: {path}{message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestSpecParsers:

@@ -90,6 +90,56 @@ class TestLoadPanel:
         assert panel.region_ids == ("LK1", "LK2")
         assert panel.counts[0, 0] == 7
 
+    def test_region_named_like_the_header_loads(self, tmp_path):
+        text = (
+            "region_id,date,cases\n"
+            "region_id,2020-03-01,4\n"
+            "a,2020-03-01,1\n"
+            "region_id,2020-03-02,2\n"
+        )
+        panel, report = load_panel(write_csv(tmp_path, text))
+        assert panel.region_ids == ("a", "region_id")
+        np.testing.assert_array_equal(panel.counts, [[1, 0], [4, 2]])
+        assert report.rows_read == 3
+        with pytest.raises(PanelFormatError, match=r"panel.csv:5: duplicate header row"):
+            load_panel(write_csv(tmp_path, text + "region_id,date,cases\n"))
+        # header names that parse as a date and a count: every field of the
+        # repeated header has been seen on a data row before it
+        text = "id,2020-03-01,0\nid,2020-03-01,3\nb,2020-03-02,0\nid,2020-03-02,0\n"
+        columns = {"region_col": "id", "date_col": "2020-03-01", "cases_col": "0"}
+        panel, _ = load_panel(write_csv(tmp_path, text), **columns)
+        np.testing.assert_array_equal(panel.counts, [[0, 0], [3, 0]])
+        with pytest.raises(PanelFormatError, match=r"panel.csv:5: duplicate header row"):
+            load_panel(write_csv(tmp_path, text + "id,2020-03-01,0\n"), **columns)
+
+    def test_seen_fields_do_not_excuse_a_bad_row(self, tmp_path):
+        good = "region_id,date,cases\na,2020-03-01,7\nb,2020-03-01,7\n"
+        for region in ("", "  "):
+            path = write_csv(tmp_path, good + f"{region},2020-03-01,7\n")
+            with pytest.raises(PanelFormatError, match=r"panel.csv:4: empty region id"):
+                load_panel(path)
+        path = write_csv(tmp_path, good + "a,2020-03-01\n")
+        with pytest.raises(PanelFormatError, match=r"panel.csv:4: too few fields"):
+            load_panel(path)
+
+    def test_padded_fields_share_a_cell(self, tmp_path):
+        path = write_csv(
+            tmp_path,
+            "region_id,date,cases\n"
+            "a,2020-03-01,5\n"
+            " a ,2020-03-01, 5 \n"
+            "a ,2020-03-01,5\n"
+            "b, 2020-03-01 ,5\n"
+            "b,2020-03-01,-5\n"
+            " b,2020-03-01, -5\n",
+        )
+        panel, report = load_panel(path)
+        assert panel.region_ids == ("a", "b")
+        np.testing.assert_array_equal(panel.counts, [[15], [5]])
+        assert report.rows_read == 6
+        assert report.duplicates_merged == 4
+        assert report.negatives_clamped == 2
+
     def test_errors(self, tmp_path):
         with pytest.raises(PanelFormatError):
             load_panel(write_csv(tmp_path, "", "empty.csv"))
