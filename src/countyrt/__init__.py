@@ -10,7 +10,6 @@ from .inference import (
     FitConfig,
     backdate,
     county_estimates,
-    day_neg_loglik,
     fit_day,
     fit_panel,
     r_tilde_ci,
@@ -22,7 +21,9 @@ from .model import (
     IncidencePanel,
     compute_lambda,
     compute_phi,
+    gamma_posterior,
     gamma_quantile,
+    gamma_quantiles,
     naive_r_hat,
     negbin_logpmf,
     posterior,
@@ -54,11 +55,12 @@ __all__ = [
     "compute_phi",
     "county_estimates",
     "cross_county_fraction",
-    "day_neg_loglik",
     "default_generation_time",
     "fit_day",
     "fit_panel",
+    "gamma_posterior",
     "gamma_quantile",
+    "gamma_quantiles",
     "load_panel",
     "naive_r_hat",
     "negbin_logpmf",

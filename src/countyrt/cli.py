@@ -72,6 +72,9 @@ def parse_gen_time(spec: str) -> GenerationTimePmf:
             raise PanelFormatError(f"{rest}: no weights found")
         rows.sort()
         taus = [t for t, _ in rows]
+        repeated = next((t for t, u in zip(taus, taus[1:]) if t == u), None)
+        if repeated is not None:
+            raise PanelFormatError(f"{rest}: weight day {repeated} is given twice")
         if taus != list(range(taus[0], taus[0] + len(taus))):
             raise PanelFormatError(f"{rest}: weight days must be consecutive")
         if taus[0] < 1:

@@ -16,10 +16,11 @@ import numpy as np
 from scipy import special
 
 from . import kernels
-from .model import GenerationTimePmf, IncidencePanel, compute_phi, phi_matrix
+from .model import GenerationTimePmf, IncidencePanel, compute_lambda, compute_phi, phi_matrix
+from .model import gamma_posterior, gamma_quantiles
 
-# The scalar reference that county_estimates matches exactly. perfbench
-# counts calls to these names on this module, so they stay importable here.
+# perfbench counts calls to these names on this module, so they stay
+# importable here.
 from .model import gamma_quantile, posterior  # noqa: F401
 from .optim import (
     LOGIT_CLAMP,
@@ -57,6 +58,8 @@ class DayParams:
     converged: bool
     log_likelihood: float
     p_identifiable: bool = True
+    evaluations: int = 0  # objective calls of both simplex runs and the Hessian
+    iterations: int = 0  # simplex iterations of both runs
 
 
 @dataclass
@@ -84,29 +87,6 @@ class CountyPosteriors:
     mean: np.ndarray
     quantile_probs: tuple
     quantiles: np.ndarray
-
-
-def day_neg_loglik(
-    panel: IncidencePanel,
-    w: GenerationTimePmf,
-    t: int,
-    a: float,
-    s: float,
-    p: float,
-) -> float:
-    """Negative log-likelihood of day t's counts at parameters (a, s, p).
-
-    Impossible observations (positive count, zero mean) contribute the
-    finite optimizer sentinel rather than +inf.
-    """
-    if a <= 0 or s <= 0:
-        raise ValueError("a and s must be positive")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must be in [0, 1]")
-    if panel.n_regions < 2:
-        raise ValueError("fitting requires at least 2 regions")
-    phi = compute_phi(panel, w, t)
-    return kernels.day_negloglik(panel.counts[:, t].astype(np.float64), phi, a, s, p)
 
 
 def _moment_start(counts: np.ndarray, phi: np.ndarray) -> tuple:
@@ -146,7 +126,7 @@ def p_moves_lambda(phi: np.ndarray) -> bool:
     zero only when Phi is the same in every region, and then the
     likelihood is exactly flat in p.
     """
-    slope = (phi.sum() - phi) / (phi.shape[0] - 1.0) - phi
+    slope = kernels.transfer(phi, 1.0) - phi  # Lambda at p = 1 minus Lambda at p = 0
     return bool(np.abs(slope).max() > P_IDENTIFIABLE_RTOL * phi.max())
 
 
@@ -154,15 +134,18 @@ def _fit_counts_phi(counts: np.ndarray, phi: np.ndarray) -> DayParams:
     counts = np.ascontiguousarray(counts, dtype=np.float64)
     phi = np.ascontiguousarray(phi, dtype=np.float64)
     log_factorial = special.gammaln(counts + 1.0)
+    evaluations = 0
 
     def objective(u):
+        nonlocal evaluations
+        evaluations += 1
         a, s, p = from_transformed(u)
         return kernels.day_negloglik(counts, phi, a, s, p, log_factorial)
 
     u0 = to_transformed(*_moment_start(counts, phi))
-    res = nelder_mead(objective, u0)
+    first = nelder_mead(objective, u0)
     # restart once from the first optimum, with a fresh simplex around it
-    res = nelder_mead(objective, res.x)
+    res = nelder_mead(objective, first.x)
     a, s, p = from_transformed(res.x)
     at_clamp = abs(res.x[2]) >= LOGIT_CLAMP - 1e-9
 
@@ -189,6 +172,8 @@ def _fit_counts_phi(counts: np.ndarray, phi: np.ndarray) -> DayParams:
         converged=res.converged,
         log_likelihood=-res.fun,
         p_identifiable=not at_clamp and p_moves_lambda(phi),
+        evaluations=evaluations,
+        iterations=first.iterations + res.iterations,
     )
 
 
@@ -266,13 +251,10 @@ def county_estimates(
 ) -> CountyPosteriors:
     """Posterior mean and quantiles of R_c for every (unskipped day, county).
 
-    Array form of ``posterior`` and ``gamma_quantile`` at each day's fitted
-    (a, s, p): shape a + I_c and scale s / (1 + s Lambda_c), with Lambda
-    computed as in ``compute_lambda``. The results equal the scalar ones
-    exactly.
+    ``gamma_posterior`` and ``gamma_quantiles`` at each day's fitted
+    (a, s, p), with Lambda from ``compute_lambda``, over (D, K) arrays.
     """
     config = config or FitConfig()
-    K = panel.n_regions
     date_to_t = {d: t for t, d in enumerate(panel.dates)}
     fitted = [f for f in fits if not f.skipped and f.params is not None]
     days = [date_to_t[f.date] for f in fitted]
@@ -280,26 +262,11 @@ def county_estimates(
         np.array([getattr(f.params, name) for f in fitted], dtype=np.float64)[:, None]
         for name in "asp"
     )
-    if fitted and K < 2:
-        raise ValueError("transfer redistribution requires at least 2 regions")
-    if np.any((p < 0.0) | (p > 1.0)):
-        raise ValueError("transfer fraction must be in [0, 1]")
-    if np.any((a <= 0.0) | (s <= 0.0)):
-        raise ValueError("prior shape and scale must be positive")
-    # one contiguous row per day, so each row sums in compute_lambda's order
+    # one contiguous row per day, so each row sums as a 1-d Phi does
     phi = np.ascontiguousarray(phi_matrix(panel, w)[:, days].T)
-    total = phi.sum(axis=1, keepdims=True)
-    lam = (1.0 - p) * phi + p * (total - phi) / (K - 1)
-    if np.any(lam < 0.0):
-        raise ValueError("lambda must be nonnegative")
+    lam = compute_lambda(phi, p)
     cases = np.ascontiguousarray(panel.counts[:, days].T)
-    if np.any(cases < 0):
-        raise ValueError("count must be a nonnegative integer")
-    shape = a + cases
-    scale = s / (1.0 + s * lam)
-    if np.any((shape <= 0.0) | (scale <= 0.0)):
-        raise ValueError("shape and scale must be positive")
-    probs = np.asarray(config.quantile_probs, dtype=np.float64)
+    shape, scale = gamma_posterior(a, s, lam, cases)
     return CountyPosteriors(
         dates=tuple(f.date for f in fitted),
         region_ids=panel.region_ids,
@@ -307,7 +274,7 @@ def county_estimates(
         cases=cases,
         mean=shape * scale,
         quantile_probs=tuple(config.quantile_probs),
-        quantiles=special.gammaincinv(shape[..., None], probs) * scale[..., None],
+        quantiles=gamma_quantiles(shape, scale, config.quantile_probs),
     )
 
 

@@ -43,7 +43,8 @@ def load_panel(
     to zero and tallied in the report. Blank rows are skipped. The first
     invalid row of the file raises PanelFormatError with its line number:
     a repeated header, too few fields, an empty region id, an invalid
-    date or an invalid case count, checked in that order within a row.
+    date or a case count that is not an int64, checked in that order
+    within a row.
 
     Three caches map a raw region, date or count field of a row that
     passed these checks to its parsed value; a row whose three fields are
@@ -88,6 +89,8 @@ def load_panel(
                     raise PanelFormatError(f"{at}: invalid date {row[di]!r}") from None
                 try:
                     c = int(fields[ci])
+                    if not -(2**63) <= c < 2**63:  # int64
+                        raise ValueError
                 except ValueError:
                     raise PanelFormatError(f"{at}: invalid case count {row[ci]!r}") from None
                 r = ids.setdefault(fields[ri], len(ids))

@@ -1,8 +1,11 @@
-"""The per-day negative log-likelihood, vectorized over regions with numpy.
+"""Unchecked array formulas of the model, and the per-day negative log-likelihood.
 
-It is evaluated hundreds of times per fitted day inside the simplex
-search, so it is the one hot kernel. Most of its work is the log rising
-factorial lgamma(a+i) - lgamma(a), computed in one of two regimes:
+``transfer`` (Lambda) and ``log_nb_terms`` (the NB log-pmf) are the only
+copies of those formulas; ``countyrt.model`` checks arguments and calls them.
+
+``day_negloglik`` is evaluated hundreds of times per fitted day inside the
+simplex search, so it is the one hot kernel. Most of its work is the log
+rising factorial lgamma(a+i) - lgamma(a), computed in one of two regimes:
 
 - small counts (largest count at most 64): a cumulative log-product
   table, accurate at every shape a and cheapest when the table is short;
@@ -65,7 +68,13 @@ def log_rising_factorial(a: float, counts: np.ndarray) -> np.ndarray:
     )
 
 
-def _log_nb_terms(a, counts, m, log_factorial):
+def transfer(phi, p):
+    """Lambda (see ``countyrt.model.compute_lambda``) over the last axis of phi."""
+    K = phi.shape[-1]
+    return (1.0 - p) * phi + p * (phi.sum(axis=-1, keepdims=True) - phi) / (K - 1)
+
+
+def log_nb_terms(a, counts, m, log_factorial):
     """log NB(i; a, m) for positive m: the rising factorial, the count's
     log-factorial and the two mean terms."""
     return (
@@ -91,13 +100,11 @@ def day_negloglik(counts, phi, a, s, p, log_factorial=None):
     phi = np.asarray(phi, dtype=np.float64)
     if log_factorial is None:
         log_factorial = special.gammaln(counts + 1.0)
-    K = phi.shape[0]
-    lam = (1.0 - p) * phi + p * (phi.sum() - phi) / (K - 1.0)
-    m = s * lam
+    m = s * transfer(phi, p)
     bad = m <= 0.0
     if not bad.any():
-        return -float(_log_nb_terms(a, counts, m, log_factorial).sum())
+        return -float(log_nb_terms(a, counts, m, log_factorial).sum())
     ok = ~bad
     ll = np.where(counts > 0, LOGPMF_SENTINEL, 0.0)
-    ll[ok] = _log_nb_terms(a, counts[ok], m[ok], log_factorial[ok])
+    ll[ok] = log_nb_terms(a, counts[ok], m[ok], log_factorial[ok])
     return -float(ll.sum())

@@ -5,6 +5,11 @@ mean is R_c(t) times the transfer-adjusted active cases Lambda_c(t), where
 R_c(t) is Gamma(a, s) distributed across regions. Marginally the counts are
 negative binomial; the Gamma prior is conjugate, so per-region posteriors
 are available in closed form.
+
+The public functions here check their arguments. Lambda and the NB term are
+written once, in ``countyrt.kernels``; the posterior once, in the array
+functions ``gamma_posterior`` and ``gamma_quantiles``, whose scalar views are
+``posterior`` and ``gamma_quantile``.
 """
 
 from __future__ import annotations
@@ -15,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
+
+from . import kernels
 
 
 @dataclass(frozen=True)
@@ -158,21 +165,20 @@ def phi_matrix(panel: IncidencePanel, w: GenerationTimePmf) -> np.ndarray:
     return _convolve(panel.counts, w)
 
 
-def compute_lambda(phi: np.ndarray, p: float) -> np.ndarray:
-    """Transfer-adjusted active cases.
+def compute_lambda(phi: np.ndarray, p) -> np.ndarray:
+    """Transfer-adjusted active cases, over the last axis of phi.
 
     Lambda_c = (1-p) Phi_c + p/(K-1) * sum_{c' != c} Phi_{c'}. A fraction p
     of each region's active cases is redistributed equally among the other
-    regions; total mass is preserved.
+    regions; total mass is preserved. p may be an array that broadcasts
+    against the leading axes of phi, one fraction per row.
     """
     phi = np.asarray(phi, dtype=np.float64)
-    K = phi.shape[0]
-    if K < 2:
+    if phi.shape[-1] < 2:
         raise ValueError("transfer redistribution requires at least 2 regions")
-    if not 0.0 <= p <= 1.0:
+    if not np.all((0 <= p) & (p <= 1)):
         raise ValueError(f"transfer fraction must be in [0, 1], got {p}")
-    total = phi.sum()
-    return (1.0 - p) * phi + p * (total - phi) / (K - 1)
+    return kernels.transfer(phi, p)
 
 
 def naive_series(panel: IncidencePanel, w: GenerationTimePmf) -> tuple:
@@ -207,13 +213,7 @@ def negbin_logpmf(i: int, a: float, m: float) -> float:
         raise ValueError(f"mean parameter must be nonnegative, got {m}")
     if m == 0.0:
         return 0.0 if i == 0 else -math.inf
-    return float(
-        special.gammaln(a + i)
-        - special.gammaln(a)
-        - special.gammaln(i + 1.0)
-        + i * math.log(m / (1.0 + m))
-        - a * math.log1p(m)
-    )
+    return float(kernels.log_nb_terms(a, float(i), m, special.gammaln(i + 1.0)))
 
 
 @dataclass(frozen=True)
@@ -240,27 +240,36 @@ class GammaPosterior:
             return 0.0
         return float(special.gammainc(self.shape, x / self.scale))
 
-    def quantile(self, q: float) -> float:
-        return gamma_quantile(self, q)
+
+def gamma_posterior(a, s, lambda_c, cases) -> tuple:
+    """Conjugate Gamma posterior of R_c given its count, elementwise.
+
+    Prior Gamma(a, s) and a Poisson count with divisor lambda_c give the
+    posterior Gamma(a + cases, s / (1 + s * lambda_c)). The arguments
+    broadcast against each other; returns the (shape, scale) pair.
+    """
+    if not (np.all(a > 0) and np.all(s > 0)):
+        raise ValueError("prior shape and scale must be positive")
+    if not np.all(lambda_c >= 0):
+        raise ValueError("lambda must be nonnegative")
+    if not np.all((cases >= 0) & (np.floor(cases) == cases)):
+        raise ValueError("count must be a nonnegative integer")
+    return a + cases, s / (1.0 + s * lambda_c)
+
+
+def gamma_quantiles(shape, scale, probs) -> np.ndarray:
+    """Inverse CDF of Gamma(shape, scale) at each of probs, on a new last axis."""
+    probs = np.asarray(probs, dtype=np.float64)
+    if not np.all((0 < probs) & (probs < 1)):
+        raise ValueError(f"quantile probabilities must lie in (0, 1), got {probs.tolist()}")
+    return special.gammaincinv(np.asarray(shape)[..., None], probs) * np.asarray(scale)[..., None]
 
 
 def posterior(a: float, s: float, lambda_c: float, i_c: int) -> GammaPosterior:
-    """Conjugate Gamma posterior of R_c given the day's count.
-
-    Prior Gamma(a, s) and Poisson likelihood with divisor lambda_c give
-    posterior Gamma(a + i_c, s / (1 + s * lambda_c)).
-    """
-    if a <= 0 or s <= 0:
-        raise ValueError("prior shape and scale must be positive")
-    if lambda_c < 0:
-        raise ValueError("lambda must be nonnegative")
-    if i_c < 0 or int(i_c) != i_c:
-        raise ValueError("count must be a nonnegative integer")
-    return GammaPosterior(a + i_c, s / (1.0 + s * lambda_c))
+    """The scalar view of ``gamma_posterior``, as a GammaPosterior."""
+    return GammaPosterior(*map(float, gamma_posterior(a, s, lambda_c, i_c)))
 
 
 def gamma_quantile(post: GammaPosterior, q: float) -> float:
-    """Inverse CDF of a Gamma(shape, scale) distribution."""
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"quantile probability must lie in (0, 1), got {q}")
-    return float(special.gammaincinv(post.shape, q)) * post.scale
+    """The scalar view of ``gamma_quantiles``: the q-quantile of post."""
+    return float(gamma_quantiles(post.shape, post.scale, [q])[0])

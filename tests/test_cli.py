@@ -265,6 +265,14 @@ class TestExitCodes:
         assert rc == 2
         assert "invalid case count" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("count", ["99999999999999999999", "-9223372036854775809"])
+    def test_count_outside_int64_is_a_parse_error(self, count, tmp_path, capsys):
+        bad = tmp_path / "big.csv"
+        bad.write_text(f"region_id,date,cases\na,2020-03-01,1\nb,2020-03-01,{count}\n")
+        rc = main(["fit", "--input", str(bad), "--output-dir", str(tmp_path / "z")])
+        assert rc == 2
+        assert f"countyrt: {bad}:3: invalid case count '{count}'" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize(
     "quantiles",
@@ -333,8 +341,9 @@ def test_region_ids_that_need_quoting_round_trip(tmp_path):
         ("tau,weight\n1,1\n2,-0.5\n", ": weights must be finite, nonnegative"),
         ("tau,weight\n0,1\n1,1\n", ": weight days must start at 1"),
         ("tau,weight\n1,0\n2,0\n", ": weights must be finite, nonnegative and not all zero"),
+        ("tau,weight\n1,1\n1,2\n", ": weight day 1 is given twice"),
     ],
-    ids=["not-a-number", "one-field", "negative", "tau-0", "all-zero"],
+    ids=["not-a-number", "one-field", "negative", "tau-0", "all-zero", "repeated-tau"],
 )
 def test_malformed_weights_file_is_a_parse_error(weights, message, sim_dir, tmp_path, capsys):
     path = tmp_path / "w.csv"

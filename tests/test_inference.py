@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
+from scipy.special import gammaincinv, gammaln
 
 from countyrt import (
     DayParams,
@@ -14,13 +14,11 @@ from countyrt import (
     compute_lambda,
     compute_phi,
     county_estimates,
-    day_neg_loglik,
     fit_day,
     fit_panel,
-    gamma_quantile,
+    inference,
     kernels,
     naive_r_hat,
-    posterior,
     r_tilde_ci,
     trapezoid_pmf,
 )
@@ -75,15 +73,21 @@ def grid_best_loglik(counts, phi, a_range=(0.05, 50), s_range=(0.01, 10), p_max=
     return best
 
 
+def day_negloglik(panel, w, t, a, s, p):
+    """The fit's kernel on day t of a panel."""
+    counts = panel.counts[:, t].astype(np.float64)
+    return kernels.day_negloglik(counts, compute_phi(panel, w, t), a, s, p)
+
+
 class TestDayNegLoglik:
     def test_all_zero_counts_and_phi(self):
         panel = make_panel(np.zeros((3, 11), dtype=int))
-        assert day_neg_loglik(panel, W, 10, 1.0, 1.0, 0.1) == pytest.approx(0.0)
+        assert day_negloglik(panel, W, 10, 1.0, 1.0, 0.1) == pytest.approx(0.0)
 
     def test_two_geometric_zeros(self):
         w1 = GenerationTimePmf(1, np.array([1.0]))
         panel = make_panel([[1, 0], [1, 0]])
-        assert day_neg_loglik(panel, w1, 1, 1.0, 1.0, 0.0) == pytest.approx(
+        assert day_negloglik(panel, w1, 1, 1.0, 1.0, 0.0) == pytest.approx(
             2 * math.log(2)
         )
 
@@ -104,16 +108,7 @@ class TestDayNegLoglik:
                 + i * math.log(m / (1 + m))
                 - a * math.log1p(m)
             )
-        assert day_neg_loglik(panel, W, t, a, s, p) == pytest.approx(expected)
-
-    def test_domain_checks(self):
-        panel = make_panel(np.ones((2, 3), dtype=int))
-        with pytest.raises(ValueError):
-            day_neg_loglik(panel, W, 2, -1.0, 1.0, 0.1)
-        with pytest.raises(ValueError):
-            day_neg_loglik(panel, W, 2, 1.0, 1.0, 1.5)
-        with pytest.raises(IndexError):
-            day_neg_loglik(panel, W, 99, 1.0, 1.0, 0.1)
+        assert day_negloglik(panel, W, t, a, s, p) == pytest.approx(expected)
 
 
 class TestFitDay:
@@ -305,6 +300,27 @@ class TestFitPanel:
             assert not fit.skipped
             assert abs(fit.r_tilde - r_hat) / r_hat < 0.05
 
+    def test_solver_counts_match_the_calls(self, monkeypatch):
+        kernel_calls, nm_iterations = [0], [0]
+        kernel, nelder_mead = kernels.day_negloglik, inference.nelder_mead
+
+        def counted_kernel(*args):
+            kernel_calls[0] += 1
+            return kernel(*args)
+
+        def counted_nelder_mead(*args):
+            res = nelder_mead(*args)
+            nm_iterations[0] += res.iterations
+            return res
+
+        monkeypatch.setattr(kernels, "day_negloglik", counted_kernel)
+        monkeypatch.setattr(inference, "nelder_mead", counted_nelder_mead)
+        panel = make_panel(np.random.default_rng(6).integers(0, 30, size=(8, 14)))
+        params = [f.params for f in fit_panel(panel, W) if not f.skipped]
+        assert len(params) == 4
+        assert sum(p.evaluations for p in params) == kernel_calls[0]
+        assert sum(p.iterations for p in params) == nm_iterations[0]
+
 
 class TestCountyEstimates:
     def _fitted(self, counts):
@@ -387,15 +403,16 @@ class TestCountyEstimates:
         assert np.any(phi[:, [panel.dates.index(d) for d in ests.dates]] == 0.0)
         for d, fit in enumerate(fitted):
             t = panel.dates.index(fit.date)
+            a, s = fit.params.a, fit.params.s
             lam = compute_lambda(phi[:, t], fit.params.p)
             for c in range(panel.n_regions):
                 i_c = int(panel.counts[c, t])
-                post = posterior(fit.params.a, fit.params.s, float(lam[c]), i_c)
+                shape, scale = a + i_c, s / (1 + s * lam[c])
                 assert ests.lambda_c[d, c] == lam[c]
                 assert ests.cases[d, c] == i_c
-                assert ests.mean[d, c] == post.mean
+                assert ests.mean[d, c] == shape * scale
                 for j, q in enumerate(config.quantile_probs):
-                    assert ests.quantiles[d, c, j] == gamma_quantile(post, q)
+                    assert ests.quantiles[d, c, j] == gammaincinv(shape, q) * scale
 
     @pytest.mark.parametrize(
         "params",

@@ -152,6 +152,25 @@ class TestComputeLambda:
         with pytest.raises(ValueError):
             compute_lambda(np.array([1.0]), 0.2)
 
+    def test_rows_equal_one_day_calls_exactly(self):
+        rng = np.random.default_rng(13)
+        # wide enough that summing Phi in another order changes its rounding
+        phi = rng.uniform(0.0, 50.0, size=(6, 300))
+        p = rng.uniform(0.0, 1.0, size=(6, 1))
+        p[0] = 0.0
+        p[1] = 1.0
+        lam = compute_lambda(phi, p)
+        for d in range(6):
+            assert np.array_equal(lam[d], compute_lambda(phi[d], float(p[d, 0])))
+
+    @pytest.mark.parametrize("p", [-0.1, 1.5, math.nan])
+    def test_fraction_outside_unit_interval_rejected(self, p):
+        phi = np.ones((3, 4))
+        with pytest.raises(ValueError):
+            compute_lambda(phi[0], p)
+        with pytest.raises(ValueError):
+            compute_lambda(phi, np.array([[0.2], [p], [0.3]]))
+
     @settings(max_examples=50)
     @given(
         st.lists(st.floats(0, 1e6), min_size=2, max_size=20),
