@@ -1,7 +1,9 @@
 """Command-line interface: simulate | fit | naive.
 
 All commands write plot-ready CSV plus a meta.json recording the resolved
-options, so a run can be reproduced exactly. A simple key=value config
+options, so a run can be reproduced exactly. Each command's ``*_SPEC``
+table (key -> converter, default) is the one list of its options: the
+parser's flags and the config keys come from it. A simple key=value config
 file can supply any long option but --input, --output-dir and --config;
 an unknown key is an error, and explicit flags win.
 
@@ -12,6 +14,7 @@ numeric failure that prevented any output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import datetime
@@ -24,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .inference import CountyPosteriors, FitConfig, backdate, county_estimates, fit_panel
+from .inference import CountyPosteriors, DayFit, FitConfig, county_estimates, fit_panel
 from .ingest import PanelFormatError, load_panel, write_panel
 from .model import GenerationTimePmf, naive_series, trapezoid_pmf
 from .simulator import SimConfig, simulate
@@ -53,9 +56,9 @@ def parse_gen_time(spec: str) -> GenerationTimePmf:
     if kind == "trapezoid":
         try:
             start, up, flat, down = (int(x) for x in rest.split(","))
-        except ValueError:
-            raise UsageError(f"bad trapezoid spec {spec!r}") from None
-        return trapezoid_pmf(start, up, flat, down)
+            return trapezoid_pmf(start, up, flat, down)
+        except ValueError as exc:
+            raise UsageError(f"bad trapezoid spec {spec!r}: {exc}") from None
     if kind == "weights":
         rows = []
         with open(rest, newline="", encoding="utf-8") as fh:
@@ -116,41 +119,56 @@ def _read_config(path, spec: dict) -> dict:
     return cfg
 
 
-def _resolve(args, spec: dict) -> dict:
+def _resolve(args) -> dict:
     """Merge CLI flags (highest), config file, and defaults."""
-    cfg = _read_config(args.config, spec) if getattr(args, "config", None) else {}
+    cfg = _read_config(args.config, args.spec) if args.config else {}
     out = {}
-    for key, (convert, default) in spec.items():
-        val = getattr(args, key, None)
-        if val is None and key in cfg:
-            val = cfg[key]
+    for key, (convert, default) in args.spec.items():
+        val = getattr(args, key)
+        if val is None:
+            val = cfg.get(key)
         if val is None:
             out[key] = default
-        elif isinstance(val, str):
-            try:
-                out[key] = convert(val)
-            except ValueError:
-                raise UsageError(f"invalid value for --{key.replace('_', '-')}: {val!r}") from None
-        else:
-            out[key] = val
+            continue
+        try:
+            out[key] = convert(val)
+        except ValueError:
+            raise UsageError(f"invalid value for --{key.replace('_', '-')}: {val!r}") from None
     return out
+
+
+@contextlib.contextmanager
+def _user_values():
+    """Report a ValueError from building objects out of option values as a usage error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
+def _int_at_least(low: int):
+    """A spec converter for integers >= ``low``."""
+
+    def convert(s: str) -> int:
+        n = int(s)
+        if n < low:
+            raise ValueError
+        return n
+
+    return convert
 
 
 def _fmt(x) -> str:
     return "" if x is None else f"{x:.10g}"
 
 
-def _write_meta(outdir: Path, command: str, options: dict) -> None:
-    meta = {
-        "tool": "countyrt",
-        "version": __version__,
-        "command": command,
-        "options": {
-            k: (v.isoformat() if isinstance(v, datetime.date) else v)
-            for k, v in options.items()
-        },
-    }
-    (outdir / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
+def _write_csv(path: Path, header: list, rows) -> None:
+    """Write ``header`` and ``rows`` with ``csv.writer``, creating the directory."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _load_panel(path):
@@ -161,13 +179,6 @@ def _load_panel(path):
     return panel
 
 
-def _parse_date(s: str) -> datetime.date:
-    try:
-        return datetime.date.fromisoformat(s)
-    except ValueError:
-        raise UsageError(f"invalid date {s!r}") from None
-
-
 SIMULATE_SPEC = {
     "k": (int, 20),
     "sigma": (float, 0.14),
@@ -175,58 +186,52 @@ SIMULATE_SPEC = {
     "schedule": (str, DEFAULT_SCHEDULE),
     "gen_time": (str, DEFAULT_GEN_TIME),
     "seed": (int, 0),
-    "replicates": (int, 1),
-    "start_date": (str, "2020-03-01"),
+    "replicates": (_int_at_least(1), 1),
+    "start_date": (lambda s: datetime.date.fromisoformat(s).isoformat(), "2020-03-01"),
     "county_r_scale": (float, None),
 }
 
 FIT_SPEC = {
     "gen_time": (str, DEFAULT_GEN_TIME),
-    "backdate_days": (int, 7),
+    "backdate_days": (_int_at_least(0), 7),
     "level": (float, 0.95),
     "quantiles": (str, "0.05,0.5,0.95"),
 }
 
 NAIVE_SPEC = {
     "gen_time": (str, DEFAULT_GEN_TIME),
-    "backdate_days": (int, 7),
+    "backdate_days": (_int_at_least(0), 7),
 }
 
 
 def _run_one_simulation(config: SimConfig, outdir: Path) -> None:
     result = simulate(config)
-    outdir.mkdir(parents=True, exist_ok=True)
+    rows = ([day.isoformat(), _fmt(float(r))] for day, r in zip(result.truth_dates, result.true_r))
+    _write_csv(outdir / "truth.csv", ["date", "true_r"], rows)
     write_panel(result.panel, outdir / "panel.csv")
-    with open(outdir / "truth.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "true_r"])
-        for day, r in zip(result.truth_dates, result.true_r):
-            writer.writerow([day.isoformat(), _fmt(float(r))])
 
 
-def cmd_simulate(args) -> int:
-    opts = _resolve(args, SIMULATE_SPEC)
-    outdir = Path(args.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    base = SimConfig(
-        k=opts["k"],
-        sigma=opts["sigma"],
-        schedule=parse_schedule(opts["schedule"]),
-        initial_cases=opts["initial_cases"],
-        w=parse_gen_time(opts["gen_time"]),
-        seed=opts["seed"],
-        start_date=_parse_date(opts["start_date"]),
-        county_r_scale=opts["county_r_scale"],
-    )
-    if opts["replicates"] <= 1:
+def cmd_simulate(opts: dict) -> None:
+    w = parse_gen_time(opts["gen_time"])  # a bad weights file stays a parse error
+    with _user_values():
+        base = SimConfig(
+            k=opts["k"],
+            sigma=opts["sigma"],
+            schedule=parse_schedule(opts["schedule"]),
+            initial_cases=opts["initial_cases"],
+            w=w,
+            seed=opts["seed"],
+            start_date=datetime.date.fromisoformat(opts["start_date"]),
+            county_r_scale=opts["county_r_scale"],
+        )
+    outdir = Path(opts["output_dir"])
+    if opts["replicates"] == 1:
         _run_one_simulation(base, outdir)
     else:
         seeds = np.random.SeedSequence(opts["seed"]).generate_state(opts["replicates"])
         for i, seed in enumerate(seeds):
             rep = dataclasses.replace(base, seed=int(seed))
             _run_one_simulation(rep, outdir / f"rep{i:03d}")
-    _write_meta(outdir, "simulate", {**opts, "output_dir": str(outdir)})
-    return EXIT_OK
 
 
 def _parse_quantiles(spec: str) -> tuple:
@@ -274,142 +279,81 @@ def _write_county_csv(
             fh.write("".join(map(row.__mod__, columns)))
 
 
-def cmd_fit(args) -> int:
-    opts = _resolve(args, FIT_SPEC)
-    if not 0.0 < opts["level"] < 1.0:
-        raise UsageError("--level must be in (0, 1)")
-    if opts["backdate_days"] < 0:
-        raise UsageError("--backdate-days must be >= 0")
-    quantile_probs, q_names = _parse_quantiles(opts["quantiles"])
-    w = parse_gen_time(opts["gen_time"])
-    panel = _load_panel(args.input)
-    outdir = Path(args.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
+def _country_row(fit: DayFit, shift: datetime.timedelta) -> list:
+    """One ``country_estimates.csv`` row; a skipped day leaves the numbers blank."""
+    day, p = (fit.date - shift).isoformat(), fit.params
+    if fit.skipped or p is None:
+        return [day, "", "", "", "", "", "", "", fit.skip_reason]
+    lo, hi = fit.ci if fit.ci is not None else (None, None)
+    numbers = [_fmt(x) for x in (p.a, p.s, p.p, fit.r_tilde, lo, hi)]
+    return [day, *numbers, "true" if p.converged else "false", ""]
 
-    config = FitConfig(level=opts["level"], quantile_probs=quantile_probs)
+
+def cmd_fit(opts: dict) -> None:
+    quantile_probs, q_names = _parse_quantiles(opts["quantiles"])
+    with _user_values():
+        config = FitConfig(level=opts["level"], quantile_probs=quantile_probs)
+    w = parse_gen_time(opts["gen_time"])
+    panel = _load_panel(opts["input"])
+    if panel.n_regions < 2:
+        raise PanelFormatError(f"{opts['input']}: fitting requires at least 2 regions")
+
     fits = fit_panel(panel, w, config)
     counties = county_estimates(panel, w, fits, config)
-    shift = datetime.timedelta(days=opts["backdate_days"])
-    fits = backdate(fits, opts["backdate_days"])
-
-    with open(outdir / "country_estimates.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "date",
-                "a_hat",
-                "s_hat",
-                "p_hat",
-                "r_tilde",
-                "ci_lower",
-                "ci_upper",
-                "converged",
-                "skipped_reason",
-            ]
-        )
-        for fit in fits:
-            if fit.skipped or fit.params is None:
-                writer.writerow(
-                    [fit.date.isoformat(), "", "", "", "", "", "", "", fit.skip_reason]
-                )
-            else:
-                lo, hi = fit.ci if fit.ci is not None else (None, None)
-                writer.writerow(
-                    [
-                        fit.date.isoformat(),
-                        _fmt(fit.params.a),
-                        _fmt(fit.params.s),
-                        _fmt(fit.params.p),
-                        _fmt(fit.r_tilde),
-                        _fmt(lo),
-                        _fmt(hi),
-                        "true" if fit.params.converged else "false",
-                        "",
-                    ]
-                )
-
+    outdir, shift = Path(opts["output_dir"]), datetime.timedelta(days=opts["backdate_days"])
+    header = "date,a_hat,s_hat,p_hat,r_tilde,ci_lower,ci_upper,converged,skipped_reason".split(",")
+    _write_csv(outdir / "country_estimates.csv", header, (_country_row(f, shift) for f in fits))
     _write_county_csv(outdir / "county_estimates.csv", counties, q_names, shift)
-    _write_meta(
-        outdir,
-        "fit",
-        {**opts, "input": str(args.input), "output_dir": str(outdir)},
-    )
-    return EXIT_OK
 
 
-def cmd_naive(args) -> int:
-    opts = _resolve(args, NAIVE_SPEC)
-    if opts["backdate_days"] < 0:
-        raise UsageError("--backdate-days must be >= 0")
+def cmd_naive(opts: dict) -> None:
     w = parse_gen_time(opts["gen_time"])
-    panel = _load_panel(args.input)
-    outdir = Path(args.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    panel = _load_panel(opts["input"])
     shift = datetime.timedelta(days=opts["backdate_days"])
-
     country, phi, r_hat = naive_series(panel, w)
-    with open(outdir / "naive_estimates.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "i_t", "phi_t", "r_hat"])
-        for t, day in enumerate(panel.dates):
-            writer.writerow(
-                [
-                    (day - shift).isoformat(),
-                    int(country[t]),
-                    _fmt(phi[t]),
-                    _fmt(r_hat[t]),
-                ]
-            )
-    _write_meta(
-        outdir,
-        "naive",
-        {**opts, "input": str(args.input), "output_dir": str(outdir)},
+    rows = (
+        [(day - shift).isoformat(), int(country[t]), _fmt(phi[t]), _fmt(r_hat[t])]
+        for t, day in enumerate(panel.dates)
     )
-    return EXIT_OK
+    path = Path(opts["output_dir"]) / "naive_estimates.csv"
+    _write_csv(path, ["date", "i_t", "phi_t", "r_hat"], rows)
 
 
 def build_parser() -> _Parser:
+    """One subcommand per (name, help, spec, command); each spec key is a --flag."""
     parser = _Parser(prog="countyrt", description=__doc__)
     parser.add_argument("--version", action="version", version=f"countyrt {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sim = sub.add_parser("simulate", help="run the torus outbreak simulator")
-    sim.add_argument("--output-dir", required=True)
-    sim.add_argument("--config")
-    for flag in ("--k", "--initial-cases", "--seed", "--replicates"):
-        sim.add_argument(flag, type=str)
-    sim.add_argument("--sigma", type=str)
-    sim.add_argument("--schedule", type=str)
-    sim.add_argument("--gen-time", type=str)
-    sim.add_argument("--start-date", type=str)
-    sim.add_argument("--county-r-scale", type=str)
-    sim.set_defaults(func=cmd_simulate)
-
-    fit = sub.add_parser("fit", help="fit daily (a, s, p) and county posteriors")
-    fit.add_argument("--input", required=True)
-    fit.add_argument("--output-dir", required=True)
-    fit.add_argument("--config")
-    fit.add_argument("--gen-time", type=str)
-    fit.add_argument("--backdate-days", type=str)
-    fit.add_argument("--level", type=str)
-    fit.add_argument("--quantiles", type=str)
-    fit.set_defaults(func=cmd_fit)
-
-    naive = sub.add_parser("naive", help="country-level ratio estimator")
-    naive.add_argument("--input", required=True)
-    naive.add_argument("--output-dir", required=True)
-    naive.add_argument("--config")
-    naive.add_argument("--gen-time", type=str)
-    naive.add_argument("--backdate-days", type=str)
-    naive.set_defaults(func=cmd_naive)
+    commands = (  # built per call, so each command is the module's attribute at that time
+        ("simulate", "run the torus outbreak simulator", SIMULATE_SPEC, cmd_simulate),
+        ("fit", "fit daily (a, s, p) and county posteriors", FIT_SPEC, cmd_fit),
+        ("naive", "country-level ratio estimator", NAIVE_SPEC, cmd_naive),
+    )
+    for name, summary, spec, command in commands:
+        cmd = sub.add_parser(name, help=summary)
+        if name != "simulate":
+            cmd.add_argument("--input", required=True)
+        cmd.add_argument("--output-dir", required=True)
+        cmd.add_argument("--config")
+        for key in spec:
+            cmd.add_argument("--" + key.replace("_", "-"))
+        cmd.set_defaults(func=command, spec=spec)
     return parser
 
 
 def main(argv=None) -> int:
+    """Resolve the options, run the command, then record them in meta.json."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        opts = _resolve(args)
+        if "input" in args:
+            opts["input"] = args.input
+        opts["output_dir"] = str(Path(args.output_dir))
+        args.func(opts)
+        meta = dict(tool="countyrt", version=__version__, command=args.command, options=opts)
+        Path(args.output_dir, "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
+        return EXIT_OK
     except UsageError as exc:
         print(f"countyrt: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -39,8 +39,9 @@ def load_panel(
 ):
     """Read a long CSV into an (IncidencePanel, ValidationReport) pair.
 
-    Duplicate (region, date) rows are summed; negative counts are clamped
-    to zero and tallied in the report. Blank rows are skipped. The first
+    Duplicate (region, date) rows are summed, and a sum outside int64
+    raises PanelFormatError; negative counts are clamped to zero and
+    tallied in the report. Blank rows are skipped. The first
     invalid row of the file raises PanelFormatError with its line number:
     a repeated header, too few fields, an empty region id, an invalid
     date or a case count that is not an int64, checked in that order
@@ -118,6 +119,15 @@ def load_panel(
     report.duplicates_merged = len(row_region) - int(np.count_nonzero(np.bincount(cell)))
     counts = np.zeros(len(names) * n_days, dtype=np.int64)
     np.add.at(counts, cell, cases)
+    if report.duplicates_merged:  # a sum that wrapped past int64 is 2**64 off its float sum
+        approx = np.bincount(cell, weights=cases, minlength=counts.size)
+        wrapped = np.flatnonzero(np.abs(approx - counts) > 2.0**62)
+        if wrapped.size:
+            region, t = divmod(int(wrapped[0]), n_days)
+            raise PanelFormatError(
+                f"{path}: summed case count of region {names[region]!r} on "
+                f"{d_min + datetime.timedelta(days=t)} is outside int64"
+            )
     dates = tuple(d_min + datetime.timedelta(days=i) for i in range(n_days))
     panel = IncidencePanel(tuple(names.tolist()), dates, counts.reshape(len(names), n_days))
     return panel, report

@@ -2,11 +2,19 @@ import csv
 import datetime
 import io
 import json
+import re
 
 import numpy as np
 import pytest
 
-from countyrt.cli import main, parse_gen_time, parse_schedule
+from countyrt.cli import (
+    FIT_SPEC,
+    NAIVE_SPEC,
+    SIMULATE_SPEC,
+    main,
+    parse_gen_time,
+    parse_schedule,
+)
 from countyrt.ingest import load_panel, write_panel
 from countyrt.model import IncidencePanel
 
@@ -273,6 +281,29 @@ class TestExitCodes:
         assert rc == 2
         assert f"countyrt: {bad}:3: invalid case count '{count}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["fit", "naive"])
+    def test_summed_count_outside_int64_is_a_parse_error(self, command, tmp_path, capsys):
+        bad = tmp_path / "sum.csv"
+        bad.write_text(
+            "region_id,date,cases\n"
+            "a,2020-03-01,9223372036854775807\na,2020-03-01,1\nb,2020-03-01,4\n"
+        )
+        out = tmp_path / "z"
+        assert main([command, "--input", str(bad), "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"countyrt: {bad}: summed case count of region 'a' on 2020-03-01" in err
+        assert not out.exists()
+
+    def test_fit_needs_two_regions(self, tmp_path, capsys):
+        one = tmp_path / "one.csv"
+        rows = "".join(f"a,2020-03-{d:02d},5\n" for d in range(1, 15))
+        one.write_text("region_id,date,cases\n" + rows)
+        out = tmp_path / "fit"
+        assert main(["fit", "--input", str(one), "--output-dir", str(out)]) == 2
+        assert f"countyrt: {one}: fitting requires at least 2 regions" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["naive", "--input", str(one), "--output-dir", str(tmp_path / "naive")]) == 0
+
 
 @pytest.mark.parametrize(
     "quantiles",
@@ -298,6 +329,58 @@ def test_bad_quantiles_are_usage_errors(quantiles, sim_dir, tmp_path, capsys):
     assert rc == 1
     assert "countyrt: error: --quantiles" in capsys.readouterr().err
     assert not (out / "county_estimates.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--k", "1", "k must be >= 2"),
+        ("--sigma", "-1", "sigma must be positive"),
+        ("--schedule", "0:1", "schedule durations must be >= 1"),
+        ("--county-r-scale", "0", "county_r_scale must be positive"),
+        ("--gen-time", "trapezoid:0,3,4,3", "bad trapezoid spec 'trapezoid:0,3,4,3'"),
+        ("--replicates", "0", "invalid value for --replicates: '0'"),
+        ("--replicates", "-3", "invalid value for --replicates: '-3'"),
+        ("--start-date", "2020-13-01", "invalid value for --start-date: '2020-13-01'"),
+    ],
+)
+def test_out_of_range_simulate_values_are_usage_errors(flag, value, message, tmp_path, capsys):
+    out = tmp_path / "sim"
+    assert main(["simulate", "--output-dir", str(out), flag, value]) == 1
+    assert f"countyrt: error: {message}" in capsys.readouterr().err
+    assert not (out / "panel.csv").exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "naive"])
+def test_negative_backdate_days_is_a_usage_error(command, sim_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = [command, "--input", str(sim_dir / "panel.csv"), "--output-dir", str(out)]
+    assert main(argv + ["--backdate-days", "-1"]) == 1
+    assert "invalid value for --backdate-days: '-1'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# Each command's flags, written out, so the parser can neither drop nor gain one.
+FLAGS = {
+    "simulate": "--k --sigma --initial-cases --schedule --gen-time --seed --replicates "
+    "--start-date --county-r-scale",
+    "fit": "--input --gen-time --backdate-days --level --quantiles",
+    "naive": "--input --gen-time --backdate-days",
+}
+
+
+@pytest.mark.parametrize(
+    "command, spec", [("simulate", SIMULATE_SPEC), ("fit", FIT_SPEC), ("naive", NAIVE_SPEC)]
+)
+def test_parser_flags_are_the_spec_keys(command, spec, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    common = {"--help", "--output-dir", "--config"}
+    assert flags == set(FLAGS[command].split()) | common
+    paths = {"--input"} if command != "simulate" else set()
+    assert flags == {"--" + key.replace("_", "-") for key in spec} | paths | common
 
 
 @pytest.mark.parametrize("command", ["fit", "naive"])
