@@ -3,13 +3,19 @@
 Each day t is fitted independently: the triple (a, s, p) maximizes the
 product of negative-binomial likelihoods across regions, the country-level
 estimate is r_tilde = a*s with a delta-method confidence interval from the
-inverse observed information, and per-county reproduction numbers come
-from the conjugate Gamma posterior at the fitted hyperparameters.
+pseudo-inverse of the observed information, and per-county reproduction
+numbers come from the conjugate Gamma posterior at the fitted
+hyperparameters.
+
+The search and the Hessian run in (ln a, ln s, logit p) coordinates,
+clamped to +-LOGIT_CLAMP; the covariance is mapped back to (a, s, p)
+with the Jacobian of that transform.
 """
 
 from __future__ import annotations
 
 import datetime
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -22,17 +28,13 @@ from .model import gamma_posterior, gamma_quantiles
 # perfbench counts calls to these names on this module, so they stay
 # importable here.
 from .model import gamma_quantile, posterior  # noqa: F401
-from .optim import (
-    LOGIT_CLAMP,
-    from_transformed,
-    invert_3x3_spd,
-    nelder_mead,
-    numeric_hessian,
-    to_transformed,
-)
+from .optim import nelder_mead, numeric_hessian
 
 # dLambda/dp below this fraction of max(Phi) everywhere leaves p unidentified.
 P_IDENTIFIABLE_RTOL = 1e-12
+# Bound on every fit coordinate: exp(30) ~ 1e13, and logit p = +-30 is p
+# within 9.4e-14 of 0 or 1.
+LOGIT_CLAMP = 30.0
 
 
 @dataclass
@@ -102,14 +104,46 @@ def _moment_start(counts: np.ndarray, phi: np.ndarray) -> tuple:
     return a0, s0, 0.1
 
 
-def _pinv_information(H: np.ndarray):
-    """Pseudo-inverse of a singular observed information matrix.
+def to_transformed(a: float, s: float, p: float) -> np.ndarray:
+    """(a, s, p) -> (ln a, ln s, logit p), logit clamped to +-LOGIT_CLAMP."""
+    if a <= 0 or s <= 0:
+        raise ValueError("a and s must be positive")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must be in [0, 1]")
+    if p <= 0.0:
+        u3 = -LOGIT_CLAMP
+    elif p >= 1.0:
+        u3 = LOGIT_CLAMP
+    else:
+        u3 = min(max(math.log(p / (1.0 - p)), -LOGIT_CLAMP), LOGIT_CLAMP)
+    return np.array([math.log(a), math.log(s), u3])
 
-    Unidentified directions (eigenvalues at or below a floor relative to
-    the largest) are treated as constrained: their variance contribution
-    is dropped. Valid for the r_tilde delta method because its gradient
-    is orthogonal to the flat directions (the a->inf Poisson ridge and an
-    unidentified p both leave a*s fixed).
+
+def from_transformed(u) -> tuple:
+    """(ln a, ln s, logit p) -> (a, s, p).
+
+    All three coordinates are clamped to +-LOGIT_CLAMP so the search
+    cannot overflow.
+    """
+    u1 = min(max(float(u[0]), -LOGIT_CLAMP), LOGIT_CLAMP)
+    u2 = min(max(float(u[1]), -LOGIT_CLAMP), LOGIT_CLAMP)
+    u3 = min(max(float(u[2]), -LOGIT_CLAMP), LOGIT_CLAMP)
+    a = math.exp(u1)
+    s = math.exp(u2)
+    p = 1.0 / (1.0 + math.exp(-u3))
+    return a, s, p
+
+
+def _pinv_information(H: np.ndarray):
+    """Pseudo-inverse of an observed information matrix, or None.
+
+    Directions whose eigenvalue is at or below max(1e-10, 1e-9 * the
+    largest) are treated as constrained: their variance contribution is
+    dropped, whether rounding left that eigenvalue slightly positive or
+    negative. On a well conditioned matrix this is the inverse. Valid for
+    the r_tilde delta method because its gradient is orthogonal to the
+    flat directions (the a->inf Poisson ridge and an unidentified p both
+    leave a*s fixed). None when no eigenvalue is above the floor.
     """
     vals, vecs = np.linalg.eigh((H + H.T) / 2.0)
     floor = max(1e-10, 1e-9 * float(vals.max(initial=0.0)))
@@ -149,16 +183,14 @@ def _fit_counts_phi(counts: np.ndarray, phi: np.ndarray) -> DayParams:
     a, s, p = from_transformed(res.x)
     at_clamp = abs(res.x[2]) >= LOGIT_CLAMP - 1e-9
 
-    # Observed information in log/logit coordinates (well conditioned even
-    # in the near-Poisson a -> inf ridge), then mapped to natural
-    # coordinates: cov_x = J cov_u J^T with J = diag(a, s, p(1-p)).
+    # Observed information in log/logit coordinates, pseudo-inverted (the
+    # near-Poisson a -> inf ridge and an unidentified p are flat there),
+    # then mapped to natural coordinates: cov_x = J cov_u J^T with
+    # J = diag(a, s, p(1-p)).
     cov = None
     try:
         u_hat = to_transformed(a, s, p)
-        H_u = numeric_hessian(objective, u_hat)
-        cov_u = invert_3x3_spd(H_u)
-        if cov_u is None:
-            cov_u = _pinv_information(H_u)
+        cov_u = _pinv_information(numeric_hessian(objective, u_hat))
         if cov_u is not None:
             jac = np.diag([a, s, p * (1.0 - p)])
             cov = jac @ cov_u @ jac.T

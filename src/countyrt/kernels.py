@@ -19,8 +19,10 @@ on (a, s, p). It is a per-day constant that the caller computes once per
 fitted day and passes in, so the kernel does not recompute it on every
 evaluation.
 
-Inside the optimizer, impossible observations (i > 0 with mean 0) use a
-large finite sentinel instead of -inf so the simplex stays ordered.
+A region whose mean is 0 takes a large finite sentinel log-pmf for a
+positive count instead of -inf. Only a direct caller can reach that
+branch, with p exactly 0 or 1 and a zero-Phi region: the fit searches in
+logit p, which keeps p within [9.4e-14, 1 - 9.4e-14].
 """
 
 from __future__ import annotations
@@ -89,8 +91,9 @@ def day_negloglik(counts, phi, a, s, p, log_factorial=None):
     """Negative log-likelihood of one day's counts.
 
     Sums -log NB(I_c; a, s * Lambda_c) over regions, with Lambda the
-    transfer redistribution of phi. Accepts p slightly outside [0, 1]
-    (needed for finite-difference Hessians at boundary fits).
+    transfer redistribution of phi. A region with mean 0 (p exactly 0 or
+    1 and a zero-Phi region) adds 0 for a zero count and
+    -LOGPMF_SENTINEL for a positive one.
 
     ``log_factorial`` is lgamma(counts + 1), a constant of the day that a
     caller evaluating one day many times computes once and passes in;

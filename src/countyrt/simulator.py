@@ -44,8 +44,8 @@ class SimConfig:
     def __post_init__(self):
         if self.k < 2:
             raise ValueError("k must be >= 2")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not 0 < self.sigma < np.inf:
+            raise ValueError("sigma must be positive and finite")
         if self.initial_cases < 1:
             raise ValueError("initial_cases must be >= 1")
         if not self.schedule:
@@ -53,10 +53,10 @@ class SimConfig:
         for dur, r in self.schedule:
             if dur < 1:
                 raise ValueError("schedule durations must be >= 1")
-            if r < 0:
-                raise ValueError("schedule R values must be >= 0")
-        if self.county_r_scale is not None and self.county_r_scale <= 0:
-            raise ValueError("county_r_scale must be positive")
+            if not 0 <= r < np.inf:
+                raise ValueError("schedule R values must be >= 0 and finite")
+        if self.county_r_scale is not None and not 0 < self.county_r_scale < np.inf:
+            raise ValueError("county_r_scale must be positive and finite")
 
 
 @dataclass

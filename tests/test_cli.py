@@ -342,6 +342,12 @@ def test_bad_quantiles_are_usage_errors(quantiles, sim_dir, tmp_path, capsys):
         ("--replicates", "0", "invalid value for --replicates: '0'"),
         ("--replicates", "-3", "invalid value for --replicates: '-3'"),
         ("--start-date", "2020-13-01", "invalid value for --start-date: '2020-13-01'"),
+        ("--sigma", "nan", "sigma must be positive and finite"),
+        ("--sigma", "inf", "sigma must be positive and finite"),
+        ("--schedule", "20:nan", "schedule R values must be >= 0 and finite"),
+        ("--schedule", "20:inf", "schedule R values must be >= 0 and finite"),
+        ("--county-r-scale", "nan", "county_r_scale must be positive and finite"),
+        ("--county-r-scale", "inf", "county_r_scale must be positive and finite"),
     ],
 )
 def test_out_of_range_simulate_values_are_usage_errors(flag, value, message, tmp_path, capsys):

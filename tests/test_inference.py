@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaincinv, gammaln
 
 from countyrt import (
@@ -22,9 +24,14 @@ from countyrt import (
     r_tilde_ci,
     trapezoid_pmf,
 )
-from countyrt.inference import p_moves_lambda
+from countyrt.inference import (
+    LOGIT_CLAMP,
+    _pinv_information,
+    from_transformed,
+    p_moves_lambda,
+    to_transformed,
+)
 from countyrt.model import GenerationTimePmf, phi_matrix
-from countyrt.optim import LOGIT_CLAMP
 
 W = trapezoid_pmf(1, 3, 4, 3)
 
@@ -234,6 +241,72 @@ class TestPIdentifiable:
         assert p_interior(bent)
         for params in (fitted, bent):
             assert params.p_identifiable is (expected and p_interior(params))
+
+
+class TestTransforms:
+    @settings(max_examples=200)
+    @given(
+        st.floats(1e-6, 1e6),
+        st.floats(1e-6, 1e6),
+        st.floats(1e-9, 1 - 1e-9),
+    )
+    def test_roundtrip(self, a, s, p):
+        a2, s2, p2 = from_transformed(to_transformed(a, s, p))
+        assert a2 == pytest.approx(a, rel=1e-12)
+        assert s2 == pytest.approx(s, rel=1e-12)
+        assert p2 == pytest.approx(p, rel=1e-9, abs=1e-12)
+
+    def test_boundary_p_clamped(self):
+        u = to_transformed(1.0, 1.0, 0.0)
+        assert u[2] == -30.0
+        _, _, p = from_transformed(u)
+        assert 0.0 < p < 1e-12
+
+    def test_inverse_always_in_domain(self):
+        for u in ([50, -50, 100], [-80, 80, -100]):
+            a, s, p = from_transformed(np.array(u, dtype=float))
+            assert a > 0 and s > 0 and 0 < p < 1
+
+
+def rotated(eigenvalues, seed=8):
+    """A symmetric matrix with the given eigenvalues along random axes."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))
+    return (q * np.asarray(eigenvalues)) @ q.T, q
+
+
+class TestPinvInformation:
+    def test_well_conditioned_is_the_inverse(self):
+        B = np.random.default_rng(6).normal(size=(3, 3))
+        H = B @ B.T + 0.5 * np.eye(3)
+        inv = np.linalg.inv(H)
+        assert np.abs(_pinv_information(H) - inv).max() <= 1e-12 * np.abs(inv).max()
+
+    def test_below_floor_direction_dropped(self):
+        H, q = rotated([2.0, 0.5, 1e-12])
+        cov = _pinv_information(H)
+        np.testing.assert_allclose(cov, cov.T, rtol=0, atol=1e-14)
+        assert np.linalg.eigvalsh(cov).min() >= -1e-14
+        np.testing.assert_allclose(cov @ q[:, 2], 0.0, atol=1e-12)
+        expected = (q * [0.5, 2.0, 0.0]) @ q.T
+        np.testing.assert_allclose(cov, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("H", [np.zeros((3, 3)), -np.eye(3)], ids=["zero", "negative-definite"])
+    def test_no_direction_left(self, H):
+        assert _pinv_information(H) is None
+
+    def test_fit_covariance_ignores_the_sign_of_a_flat_direction(self, monkeypatch):
+        panel, t = panel_with_transfers(5)
+        covs = []
+        for flat in (1e-12, -1e-12):
+            H, q = rotated([2.0, 0.5, flat])
+            monkeypatch.setattr(inference, "numeric_hessian", lambda objective, u, H=H: H)
+            params = fit_day(panel, W, t).params
+            covs.append(params.cov)
+        jac = np.diag([params.a, params.s, params.p * (1.0 - params.p)])
+        expected = jac @ ((q * [0.5, 2.0, 0.0]) @ q.T) @ jac
+        scale = np.abs(expected).max()
+        for cov in covs:
+            np.testing.assert_allclose(cov, expected, rtol=0, atol=1e-9 * scale)
 
 
 class TestRTildeCi:

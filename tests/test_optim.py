@@ -1,15 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from countyrt.optim import (
-    from_transformed,
-    invert_3x3_spd,
-    nelder_mead,
-    numeric_hessian,
-    to_transformed,
-)
+from countyrt.optim import nelder_mead, numeric_hessian
 
 
 class TestNelderMead:
@@ -61,31 +53,6 @@ class TestNelderMead:
         np.testing.assert_allclose(res.x, [1.9, 0, 0], atol=1e-5)
 
 
-class TestTransforms:
-    @settings(max_examples=200)
-    @given(
-        st.floats(1e-6, 1e6),
-        st.floats(1e-6, 1e6),
-        st.floats(1e-9, 1 - 1e-9),
-    )
-    def test_roundtrip(self, a, s, p):
-        a2, s2, p2 = from_transformed(to_transformed(a, s, p))
-        assert a2 == pytest.approx(a, rel=1e-12)
-        assert s2 == pytest.approx(s, rel=1e-12)
-        assert p2 == pytest.approx(p, rel=1e-9, abs=1e-12)
-
-    def test_boundary_p_clamped(self):
-        u = to_transformed(1.0, 1.0, 0.0)
-        assert u[2] == -30.0
-        _, _, p = from_transformed(u)
-        assert 0.0 < p < 1e-12
-
-    def test_inverse_always_in_domain(self):
-        for u in ([50, -50, 100], [-80, 80, -100]):
-            a, s, p = from_transformed(np.array(u, dtype=float))
-            assert a > 0 and s > 0 and 0 < p < 1
-
-
 class TestNumericHessian:
     def test_diagonal_quadratic(self):
         A = np.diag([2.0, 4.0, 6.0])
@@ -114,28 +81,3 @@ class TestNumericHessian:
         with pytest.raises(ArithmeticError):
             numeric_hessian(obj, np.array([1.0, 0.0, 0.0]))
 
-
-class TestInvert3x3Spd:
-    def test_identity(self):
-        np.testing.assert_allclose(invert_3x3_spd(np.eye(3)), np.eye(3))
-
-    def test_diagonal(self):
-        np.testing.assert_allclose(
-            invert_3x3_spd(np.diag([2.0, 4.0, 8.0])), np.diag([0.5, 0.25, 0.125])
-        )
-
-    def test_negative_eigenvalue_returns_none(self):
-        assert invert_3x3_spd(np.diag([1.0, -1.0, 2.0])) is None
-
-    def test_asymmetric_rejected(self):
-        M = np.eye(3)
-        M[0, 1] = 0.5
-        with pytest.raises(ValueError):
-            invert_3x3_spd(M)
-
-    def test_roundtrip(self):
-        rng = np.random.default_rng(6)
-        B = rng.normal(size=(3, 3))
-        H = B @ B.T + 0.5 * np.eye(3)
-        inv = invert_3x3_spd(H)
-        np.testing.assert_allclose(inv @ H, np.eye(3), atol=1e-10)

@@ -1,4 +1,5 @@
 import datetime
+import math
 
 import numpy as np
 import pytest
@@ -97,6 +98,10 @@ class TestSimulate:
             SimConfig(sigma=0.0)
         with pytest.raises(ValueError):
             SimConfig(schedule=((5, -1.0),))
+
+    def test_non_finite_schedule_r_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            SimConfig(schedule=((5, 1.2), (20, math.nan)))
 
 
 class TestCrossCountyFraction:
