@@ -167,14 +167,14 @@ def p_moves_lambda(phi: np.ndarray) -> bool:
 def _fit_counts_phi(counts: np.ndarray, phi: np.ndarray) -> DayParams:
     counts = np.ascontiguousarray(counts, dtype=np.float64)
     phi = np.ascontiguousarray(phi, dtype=np.float64)
-    log_factorial = special.gammaln(counts + 1.0)
+    constants = kernels.DayConstants(counts, phi)
     evaluations = 0
 
     def objective(u):
         nonlocal evaluations
         evaluations += 1
         a, s, p = from_transformed(u)
-        return kernels.day_negloglik(counts, phi, a, s, p, log_factorial)
+        return kernels.day_negloglik(counts, phi, a, s, p, constants)
 
     u0 = to_transformed(*_moment_start(counts, phi))
     first = nelder_mead(objective, u0)

@@ -14,10 +14,13 @@ rising factorial lgamma(a+i) - lgamma(a), computed in one of two regimes:
   with log1p, which stays accurate up to the a ~ e^30 Poisson ridge;
   below that the plain gammaln difference has no cancellation to lose.
 
-The other count term, the log-factorial lgamma(i + 1), does not depend
-on (a, s, p). It is a per-day constant that the caller computes once per
-fitted day and passes in, so the kernel does not recompute it on every
-evaluation.
+The rest of what the kernel reads does not depend on (a, s, p):
+``DayConstants`` holds it for one day's (counts, Phi). That is the
+transfer's sum(Phi) - Phi, the log-factorial lgamma(i + 1) and, in the
+table regime, the table's steps 0..max count - 1 and the counts as
+indices. A caller that evaluates one day many times builds it once and
+passes it in; otherwise the kernel builds it per call, with the same
+bits.
 
 A region whose mean is 0 takes a large finite sentinel log-pmf for a
 positive count instead of -inf. Only a direct caller can reach that
@@ -51,14 +54,22 @@ def _stirling_tail(x):
     return acc / x
 
 
-def log_rising_factorial(a: float, counts: np.ndarray) -> np.ndarray:
-    """lgamma(a + i) - lgamma(a) for each non-negative integer i in counts."""
-    counts = np.asarray(counts, dtype=np.float64)
+def _table_steps(counts: np.ndarray):
+    """(0..max count - 1 as floats, counts as int64) for the log-product
+    table, or None when the largest count is above the table's range."""
     imax = int(counts.max(initial=0.0))
-    if imax <= _TABLE_I_MAX:
-        # cumulative log-product table: entry i is lgamma(a+i)-lgamma(a)
-        table = np.concatenate([[0.0], np.cumsum(np.log(a + np.arange(imax)))])
-        return table[counts.astype(np.int64)]
+    if imax > _TABLE_I_MAX:
+        return None
+    return np.arange(imax, dtype=np.float64), counts.astype(np.int64)
+
+
+def _table_rising(a: float, steps: np.ndarray, index: np.ndarray) -> np.ndarray:
+    # cumulative log-product table: entry i is lgamma(a+i)-lgamma(a)
+    table = np.concatenate([[0.0], np.log(a + steps).cumsum()])
+    return table[index]
+
+
+def _large_count_rising(a: float, counts: np.ndarray) -> np.ndarray:
     if a < _STIRLING_A_MIN:
         return special.gammaln(a + counts) - special.gammaln(a)
     x = a + counts
@@ -70,24 +81,72 @@ def log_rising_factorial(a: float, counts: np.ndarray) -> np.ndarray:
     )
 
 
-def transfer(phi, p):
-    """Lambda (see ``countyrt.model.compute_lambda``) over the last axis of phi."""
+def log_rising_factorial(a: float, counts: np.ndarray) -> np.ndarray:
+    """lgamma(a + i) - lgamma(a) for each non-negative integer i in counts."""
+    counts = np.asarray(counts, dtype=np.float64)
+    table = _table_steps(counts)
+    if table is not None:
+        return _table_rising(a, *table)
+    return _large_count_rising(a, counts)
+
+
+def _others(phi):
+    return phi.sum(axis=-1, keepdims=True) - phi
+
+
+def transfer(phi, p, others=None):
+    """Lambda (see ``countyrt.model.compute_lambda``) over the last axis of phi.
+
+    ``others`` is sum(Phi) - Phi over that axis, computed here when left out.
+    """
     K = phi.shape[-1]
-    return (1.0 - p) * phi + p * (phi.sum(axis=-1, keepdims=True) - phi) / (K - 1)
+    if others is None:
+        others = _others(phi)
+    return (1.0 - p) * phi + p * others / (K - 1)
 
 
-def log_nb_terms(a, counts, m, log_factorial):
+def log_nb_terms(a, counts, m, log_factorial, rising=None):
     """log NB(i; a, m) for positive m: the rising factorial, the count's
-    log-factorial and the two mean terms."""
+    log-factorial and the two mean terms.
+
+    ``rising`` is ``log_rising_factorial(a, counts)``, computed here when
+    left out.
+    """
+    if rising is None:
+        rising = log_rising_factorial(a, counts)
     return (
-        log_rising_factorial(a, counts)
+        rising
         - log_factorial
         + counts * np.log(m / (1.0 + m))
         - a * np.log1p(m)
     )
 
 
-def day_negloglik(counts, phi, a, s, p, log_factorial=None):
+class DayConstants:
+    """What ``day_negloglik`` reads of one day's (counts, Phi) that does
+    not depend on (a, s, p).
+
+    ``others`` is sum(Phi) - Phi, ``log_factorial`` lgamma(counts + 1).
+    ``table`` is the log-product table's (steps, index) pair when the
+    largest count is at most 64, else None.
+    """
+
+    __slots__ = ("others", "log_factorial", "table")
+
+    def __init__(self, counts, phi):
+        counts = np.asarray(counts, dtype=np.float64)
+        self.others = _others(np.asarray(phi, dtype=np.float64))
+        self.log_factorial = special.gammaln(counts + 1.0)
+        self.table = _table_steps(counts)
+
+    def rising(self, a, counts):
+        """``log_rising_factorial(a, counts)`` for this day's counts."""
+        if self.table is not None:
+            return _table_rising(a, *self.table)
+        return _large_count_rising(a, counts)
+
+
+def day_negloglik(counts, phi, a, s, p, constants=None):
     """Negative log-likelihood of one day's counts.
 
     Sums -log NB(I_c; a, s * Lambda_c) over regions, with Lambda the
@@ -95,19 +154,21 @@ def day_negloglik(counts, phi, a, s, p, log_factorial=None):
     1 and a zero-Phi region) adds 0 for a zero count and
     -LOGPMF_SENTINEL for a positive one.
 
-    ``log_factorial`` is lgamma(counts + 1), a constant of the day that a
-    caller evaluating one day many times computes once and passes in;
-    when it is left out it is computed here.
+    ``constants`` is the day's ``DayConstants(counts, phi)``, which a
+    caller evaluating one day many times builds once and passes in; when
+    it is left out it is built here.
     """
     counts = np.asarray(counts, dtype=np.float64)
     phi = np.asarray(phi, dtype=np.float64)
-    if log_factorial is None:
-        log_factorial = special.gammaln(counts + 1.0)
-    m = s * transfer(phi, p)
-    bad = m <= 0.0
-    if not bad.any():
-        return -float(log_nb_terms(a, counts, m, log_factorial).sum())
-    ok = ~bad
-    ll = np.where(counts > 0, LOGPMF_SENTINEL, 0.0)
-    ll[ok] = log_nb_terms(a, counts[ok], m[ok], log_factorial[ok])
-    return -float(ll.sum())
+    if constants is None:
+        constants = DayConstants(counts, phi)
+    m = s * transfer(phi, p, constants.others)
+    log_factorial = constants.log_factorial
+    if m.min() <= 0.0:
+        bad = m <= 0.0
+        ok = ~bad
+        ll = np.where(counts > 0, LOGPMF_SENTINEL, 0.0)
+        ll[ok] = log_nb_terms(a, counts[ok], m[ok], log_factorial[ok])
+        return -float(ll.sum())
+    rising = constants.rising(a, counts)
+    return -float(log_nb_terms(a, counts, m, log_factorial, rising).sum())

@@ -1,7 +1,9 @@
 """Derivative-free optimization utilities.
 
 Nelder-Mead simplex minimization and central-difference Hessians, for any
-objective of a real vector.
+objective of a real vector. The simplex runs on plain Python floats: at
+three coordinates, numpy's per-call overhead costs more than the
+arithmetic it does.
 """
 
 from __future__ import annotations
@@ -28,47 +30,57 @@ def nelder_mead(objective, start, tol: float = 1e-8, max_iter: int = 2000) -> Op
     the best one) and the objective spread drop below ``tol``, or at
     ``max_iter``. Non-finite objective values mid-run are treated as +inf;
     a non-finite value at the start raises.
+
+    The vertices and their values are lists of Python floats; the
+    objective is called with a fresh float64 array. Vertices are ordered
+    by value with ties kept in index order, and the centroid is summed in
+    that order before dividing by n.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    x0 = np.asarray(start, dtype=np.float64).copy()
-    n = x0.size
+    x0 = [float(v) for v in np.asarray(start, dtype=np.float64)]
+    n = len(x0)
 
     def safe(x):
-        v = objective(x)
+        v = objective(np.array(x))
         return float(v) if math.isfinite(v) else math.inf
 
-    f0 = objective(x0)
+    f0 = objective(np.array(x0))
     if not math.isfinite(f0):
         raise ValueError("objective is not finite at the starting point")
 
-    verts = [x0]
+    simplex = [x0]
     for j in range(n):
-        xj = x0.copy()
+        xj = list(x0)
         xj[j] += 0.05 * (1.0 + abs(x0[j]))
-        verts.append(xj)
-    simplex = np.array(verts)
-    fvals = np.array([f0] + [safe(v) for v in verts[1:]])
+        simplex.append(xj)
+    fvals = [float(f0)] + [safe(v) for v in simplex[1:]]
 
     iterations = 0
     converged = False
     while iterations < max_iter:
-        order = np.argsort(fvals, kind="stable")
-        simplex = simplex[order]
-        fvals = fvals[order]
+        order = sorted(range(n + 1), key=fvals.__getitem__)
+        simplex = [simplex[k] for k in order]
+        fvals = [fvals[k] for k in order]
 
-        size = float(np.max(np.abs(simplex[1:] - simplex[0])))
+        best = simplex[0]
         spread = fvals[-1] - fvals[0] if math.isfinite(fvals[-1]) else math.inf
-        if size < tol and spread < tol:
+        if spread < tol and all(
+            abs(v - b) < tol for x in simplex[1:] for v, b in zip(x, best)
+        ):
             converged = True
             break
 
         iterations += 1
-        centroid = simplex[:-1].mean(axis=0)
-        xr = centroid + (centroid - simplex[-1])
+        centroid = [0.0] * n
+        for x in simplex[:-1]:
+            centroid = [c + v for c, v in zip(centroid, x)]
+        centroid = [c / n for c in centroid]
+        worst = simplex[-1]
+        xr = [c + (c - w) for c, w in zip(centroid, worst)]
         fr = safe(xr)
         if fr < fvals[0]:
-            xe = centroid + 2.0 * (centroid - simplex[-1])
+            xe = [c + 2.0 * (c - w) for c, w in zip(centroid, worst)]
             fe = safe(xe)
             if fe < fr:
                 simplex[-1], fvals[-1] = xe, fe
@@ -78,24 +90,24 @@ def nelder_mead(objective, start, tol: float = 1e-8, max_iter: int = 2000) -> Op
             simplex[-1], fvals[-1] = xr, fr
         else:
             if fr < fvals[-1]:
-                xc = centroid + 0.5 * (xr - centroid)
+                xc = [c + 0.5 * (r - c) for c, r in zip(centroid, xr)]
                 fc = safe(xc)
                 accept = fc <= fr
             else:
-                xc = centroid + 0.5 * (simplex[-1] - centroid)
+                xc = [c + 0.5 * (w - c) for c, w in zip(centroid, worst)]
                 fc = safe(xc)
                 accept = fc < fvals[-1]
             if accept:
                 simplex[-1], fvals[-1] = xc, fc
             else:
                 for j in range(1, n + 1):
-                    simplex[j] = simplex[0] + 0.5 * (simplex[j] - simplex[0])
+                    simplex[j] = [b + 0.5 * (v - b) for v, b in zip(simplex[j], best)]
                     fvals[j] = safe(simplex[j])
 
-    best = int(np.argmin(fvals))
+    lowest = min(range(n + 1), key=fvals.__getitem__)
     return OptimResult(
-        x=simplex[best].copy(),
-        fun=float(fvals[best]),
+        x=np.array(simplex[lowest]),
+        fun=fvals[lowest],
         iterations=iterations,
         converged=converged,
     )

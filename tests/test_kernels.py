@@ -1,11 +1,16 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
-from countyrt import kernels, negbin_logpmf
+from countyrt import cli, inference, kernels, negbin_logpmf
 from countyrt.kernels import LOGPMF_SENTINEL, day_negloglik
+from countyrt.simulator import SimConfig, simulate
+from perfbench import workloads
 
 
 def literal_negloglik(counts, phi, a, s, p):
@@ -182,11 +187,65 @@ def masked_negloglik(counts, phi, a, s, p):
 
 
 @pytest.mark.parametrize("day", ["zero-mean", "table", "large-counts"])
-def test_precomputed_log_factorial_is_bit_identical(day):
+def test_day_constants_are_bit_identical(day):
     counts, phi, p = kernel_constant_days()[day]
-    log_factorial = special.gammaln(counts + 1.0)
+    constants = kernels.DayConstants(counts, phi)
     for a in (0.7, 12.0, 3e5, 1e13):
         for s in (0.02, 1.3, 40.0 / a):
-            with_constant = day_negloglik(counts, phi, a, s, p, log_factorial)
-            assert with_constant == day_negloglik(counts, phi, a, s, p), (a, s)
-            assert with_constant == masked_negloglik(counts, phi, a, s, p), (a, s)
+            with_constants = day_negloglik(counts, phi, a, s, p, constants)
+            assert with_constants == day_negloglik(counts, phi, a, s, p), (a, s)
+            assert with_constants == masked_negloglik(counts, phi, a, s, p), (a, s)
+
+
+@st.composite
+def kernel_days(draw):
+    """A day and a point (a, s, p): table or Stirling-regime counts, some
+    zero-Phi regions, p at 0 or 1 as often as inside, a up to 1e13."""
+    K = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    largest = draw(st.sampled_from([0, 1, 64, 65, 1_000, 100_000]))
+    counts = rng.integers(0, largest + 1, size=K).astype(float)
+    counts[rng.integers(K)] = largest
+    phi = rng.uniform(0.0, 2.0 * largest + 1.0, size=K)
+    phi[rng.uniform(size=K) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    a = draw(st.floats(1e-3, 1e13))
+    s = draw(st.floats(1e-6, 1e3))
+    p = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    return counts, phi, a, s, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_days())
+def test_day_constants_are_bit_identical_everywhere(day):
+    counts, phi, a, s, p = day
+    with_constants = day_negloglik(counts, phi, a, s, p, kernels.DayConstants(counts, phi))
+    assert with_constants == day_negloglik(counts, phi, a, s, p)
+    assert with_constants == masked_negloglik(counts, phi, a, s, p)
+
+
+FIT_PANELS = {
+    "torus-k5": lambda: simulate(
+        SimConfig(k=5, initial_cases=100, schedule=((25, 1.3),), seed=1)
+    ).panel,
+    "national-counts": lambda: workloads.national_counts(1),
+}
+
+
+@pytest.mark.parametrize("name", FIT_PANELS)
+def test_fit_with_day_constants_matches_masked_kernel(name, monkeypatch):
+    """The fit's per-day constants leave every fitted number bit-identical
+    to a fit whose kernel computes every term per call."""
+    panel = FIT_PANELS[name]()
+    w = cli.parse_gen_time(cli.DEFAULT_GEN_TIME)
+    fitted = inference.fit_panel(panel, w)
+    monkeypatch.setattr(
+        kernels,
+        "day_negloglik",
+        lambda counts, phi, a, s, p, constants=None: masked_negloglik(counts, phi, a, s, p),
+    )
+    masked = inference.fit_panel(panel, w)
+    days = [(f.params, g.params) for f, g in zip(fitted, masked) if not f.skipped]
+    assert days and len(fitted) == len(masked)
+    for got, ref in days:
+        assert np.array_equal(got.cov, ref.cov)
+        assert replace(got, cov=None) == replace(ref, cov=None)
