@@ -8,7 +8,6 @@ from .inference import (
     DayFit,
     DayParams,
     FitConfig,
-    backdate,
     county_estimates,
     fit_day,
     fit_panel,
@@ -49,7 +48,6 @@ __all__ = [
     "SimConfig",
     "SimResult",
     "aggregate_country",
-    "backdate",
     "calibrate_sigma",
     "compute_lambda",
     "compute_phi",

@@ -171,6 +171,17 @@ def _write_csv(path: Path, header: list, rows) -> None:
         writer.writerows(rows)
 
 
+def _report_shift(opts: dict, panel) -> datetime.timedelta:
+    """The --backdate-days shift to infection dates; a usage error before year 1."""
+    days = opts["backdate_days"]
+    try:
+        shift = datetime.timedelta(days=days)
+        panel.dates[0] - shift
+    except OverflowError:
+        raise UsageError(f"--backdate-days {days} moves {panel.dates[0]} before year 1") from None
+    return shift
+
+
 def _load_panel(path):
     """Load a panel, printing each ingest warning to stderr."""
     panel, report = load_panel(path)
@@ -297,10 +308,11 @@ def cmd_fit(opts: dict) -> None:
     panel = _load_panel(opts["input"])
     if panel.n_regions < 2:
         raise PanelFormatError(f"{opts['input']}: fitting requires at least 2 regions")
+    shift = _report_shift(opts, panel)
 
     fits = fit_panel(panel, w, config)
     counties = county_estimates(panel, w, fits, config)
-    outdir, shift = Path(opts["output_dir"]), datetime.timedelta(days=opts["backdate_days"])
+    outdir = Path(opts["output_dir"])
     header = "date,a_hat,s_hat,p_hat,r_tilde,ci_lower,ci_upper,converged,skipped_reason".split(",")
     _write_csv(outdir / "country_estimates.csv", header, (_country_row(f, shift) for f in fits))
     _write_county_csv(outdir / "county_estimates.csv", counties, q_names, shift)
@@ -309,7 +321,7 @@ def cmd_fit(opts: dict) -> None:
 def cmd_naive(opts: dict) -> None:
     w = parse_gen_time(opts["gen_time"])
     panel = _load_panel(opts["input"])
-    shift = datetime.timedelta(days=opts["backdate_days"])
+    shift = _report_shift(opts, panel)
     country, phi, r_hat = naive_series(panel, w)
     rows = (
         [(day - shift).isoformat(), int(country[t]), _fmt(phi[t]), _fmt(r_hat[t])]

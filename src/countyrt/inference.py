@@ -8,15 +8,17 @@ numbers come from the conjugate Gamma posterior at the fitted
 hyperparameters.
 
 The search and the Hessian run in (ln a, ln s, logit p) coordinates,
-clamped to +-LOGIT_CLAMP; the covariance is mapped back to (a, s, p)
-with the Jacobian of that transform.
+clamped to +-LOGIT_CLAMP: the simplex starts there, and the Hessian is
+taken at the clipped optimum itself. ``from_transformed`` is the one map
+out to (a, s, p), and the covariance follows with its Jacobian. Every
+date is a report date; shifting to infection dates is left to the caller.
 """
 
 from __future__ import annotations
 
 import datetime
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -91,7 +93,8 @@ class CountyPosteriors:
     quantiles: np.ndarray
 
 
-def _moment_start(counts: np.ndarray, phi: np.ndarray) -> tuple:
+def _moment_start(counts: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """The simplex start in (ln a, ln s, logit p): moment estimates of a and s, p = 0.1."""
     mask = phi > 0
     ratios = counts[mask] / phi[mask]
     m = float(ratios.mean()) if ratios.size else 0.0
@@ -101,22 +104,7 @@ def _moment_start(counts: np.ndarray, phi: np.ndarray) -> tuple:
     else:
         s0 = 0.5
     a0 = max(m / s0, 0.05)
-    return a0, s0, 0.1
-
-
-def to_transformed(a: float, s: float, p: float) -> np.ndarray:
-    """(a, s, p) -> (ln a, ln s, logit p), logit clamped to +-LOGIT_CLAMP."""
-    if a <= 0 or s <= 0:
-        raise ValueError("a and s must be positive")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must be in [0, 1]")
-    if p <= 0.0:
-        u3 = -LOGIT_CLAMP
-    elif p >= 1.0:
-        u3 = LOGIT_CLAMP
-    else:
-        u3 = min(max(math.log(p / (1.0 - p)), -LOGIT_CLAMP), LOGIT_CLAMP)
-    return np.array([math.log(a), math.log(s), u3])
+    return np.array([math.log(a0), math.log(s0), math.log(0.1 / 0.9)])
 
 
 def from_transformed(u) -> tuple:
@@ -176,12 +164,13 @@ def _fit_counts_phi(counts: np.ndarray, phi: np.ndarray) -> DayParams:
         a, s, p = from_transformed(u)
         return kernels.day_negloglik(counts, phi, a, s, p, constants)
 
-    u0 = to_transformed(*_moment_start(counts, phi))
-    first = nelder_mead(objective, u0)
+    first = nelder_mead(objective, _moment_start(counts, phi))
     # restart once from the first optimum, with a fresh simplex around it
     res = nelder_mead(objective, first.x)
-    a, s, p = from_transformed(res.x)
-    at_clamp = abs(res.x[2]) >= LOGIT_CLAMP - 1e-9
+    # the one fitted point: it gives (a, s, p), the clamp flag and the Hessian
+    u_hat = np.clip(res.x, -LOGIT_CLAMP, LOGIT_CLAMP)
+    a, s, p = from_transformed(u_hat)
+    at_clamp = abs(u_hat[2]) >= LOGIT_CLAMP - 1e-9
 
     # Observed information in log/logit coordinates, pseudo-inverted (the
     # near-Poisson a -> inf ridge and an unidentified p are flat there),
@@ -189,7 +178,6 @@ def _fit_counts_phi(counts: np.ndarray, phi: np.ndarray) -> DayParams:
     # J = diag(a, s, p(1-p)).
     cov = None
     try:
-        u_hat = to_transformed(a, s, p)
         cov_u = _pinv_information(numeric_hessian(objective, u_hat))
         if cov_u is not None:
             jac = np.diag([a, s, p * (1.0 - p)])
@@ -228,8 +216,11 @@ def r_tilde_ci(params: DayParams, level: float = 0.95):
 
 
 def _make_day_fit(date, counts, phi, config: FitConfig) -> DayFit:
+    # without cases the likelihood grows as a*s -> 0 and the fit ends at the clamps
     if phi.sum() <= 0:
         return DayFit(date, None, None, None, skipped=True, skip_reason="zero-phi")
+    if not counts.any():
+        return DayFit(date, None, None, None, skipped=True, skip_reason="no-cases")
     params = _fit_counts_phi(counts, phi)
     r = params.a * params.s
     return DayFit(date, params, r, r_tilde_ci(params, config.level), skipped=False)
@@ -243,8 +234,9 @@ def fit_day(
 ) -> DayFit:
     """Fit one day's (a, s, p) by maximum likelihood.
 
-    Days where Phi vanishes everywhere are returned skipped; an optimizer
-    that fails to converge still yields parameters with converged=False.
+    A day whose Phi vanishes everywhere is returned skipped as ``zero-phi``,
+    and a day without cases as ``no-cases``; an optimizer that fails to
+    converge still yields parameters with converged=False.
     """
     config = config or FitConfig()
     if panel.n_regions < 2:
@@ -261,7 +253,8 @@ def fit_panel(
     """One DayFit per panel day; the first ``w.support_end`` days are skipped.
 
     They are the burn-in, whose Phi lacks part of the generation-time
-    support. Days are fitted independently of each other.
+    support; the other days are skipped as ``fit_day`` skips them. Days
+    are fitted independently of each other, and keep their report dates.
     """
     config = config or FitConfig()
     if panel.n_regions < 2:
@@ -308,11 +301,3 @@ def county_estimates(
         quantile_probs=tuple(config.quantile_probs),
         quantiles=gamma_quantiles(shape, scale, config.quantile_probs),
     )
-
-
-def backdate(fits: list, days: int) -> list:
-    """Shift every fit's date back by the reporting delay."""
-    if days < 0:
-        raise ValueError("backdate days must be >= 0")
-    delta = datetime.timedelta(days=days)
-    return [replace(f, date=f.date - delta) for f in fits]

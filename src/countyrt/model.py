@@ -43,8 +43,8 @@ class GenerationTimePmf:
             raise ValueError("support_start must be an integer >= 1")
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a non-empty 1-d array")
-        if np.any(w < 0):
-            raise ValueError("weights must be nonnegative")
+        if not np.all(w >= 0):  # NaN fails this too
+            raise ValueError("weights must be nonnegative numbers")
         if abs(float(w.sum()) - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1 within 1e-12")
 

@@ -367,6 +367,27 @@ def test_negative_backdate_days_is_a_usage_error(command, sim_dir, tmp_path, cap
     assert not out.exists()
 
 
+# 800000 days moves the 2020 panel before year 1; 1e9 days is beyond any timedelta
+@pytest.mark.parametrize("days", ["800000", "1000000000"])
+@pytest.mark.parametrize("command", ["fit", "naive"])
+def test_out_of_range_backdate_days_is_a_usage_error(command, days, sim_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = [command, "--input", str(sim_dir / "panel.csv"), "--output-dir", str(out)]
+    first = load_panel(sim_dir / "panel.csv")[0].dates[0]
+    assert main(argv + ["--backdate-days", days]) == 1
+    assert f"countyrt: error: --backdate-days {days} moves {first} before year 1" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
+
+
+def test_backdate_days_may_reach_year_1(sim_dir, tmp_path):
+    days = load_panel(sim_dir / "panel.csv")[0].dates[0].toordinal() - 1
+    argv = ["naive", "--input", str(sim_dir / "panel.csv"), "--output-dir", str(tmp_path)]
+    assert main(argv + ["--backdate-days", str(days)]) == 0
+    assert read_rows(tmp_path / "naive_estimates.csv")[0]["date"] == "0001-01-01"
+
+
 # Each command's flags, written out, so the parser can neither drop nor gain one.
 FLAGS = {
     "simulate": "--k --sigma --initial-cases --schedule --gen-time --seed --replicates "

@@ -4,15 +4,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.special import gammaincinv, gammaln
 
 from countyrt import (
     DayParams,
     FitConfig,
     IncidencePanel,
-    backdate,
     compute_lambda,
     compute_phi,
     county_estimates,
@@ -29,9 +26,9 @@ from countyrt.inference import (
     _pinv_information,
     from_transformed,
     p_moves_lambda,
-    to_transformed,
 )
 from countyrt.model import GenerationTimePmf, phi_matrix
+from countyrt.optim import OptimResult
 
 W = trapezoid_pmf(1, 3, 4, 3)
 
@@ -149,6 +146,17 @@ class TestFitDay:
         assert fit.skipped
         assert fit.skip_reason == "zero-phi"
 
+    def test_no_cases_day_skipped(self):
+        # Phi > 0 but no cases: the likelihood grows without bound as a*s -> 0
+        counts = np.ones((3, 12), dtype=int)
+        counts[:, 11] = 0
+        panel = make_panel(counts)
+        fits = fit_panel(panel, W)
+        assert fits[11].skipped and fits[11].params is None
+        assert fits[11].skip_reason == "no-cases"
+        assert not fits[10].skipped
+        assert county_estimates(panel, W, fits).dates == (fits[10].date,)
+
     def test_single_hot_county_infers_overdispersion(self):
         # one county with huge count against homogeneous history: the fitted
         # prior variance a*s^2 must exceed a homogeneous panel's by orders
@@ -244,28 +252,32 @@ class TestPIdentifiable:
 
 
 class TestTransforms:
-    @settings(max_examples=200)
-    @given(
-        st.floats(1e-6, 1e6),
-        st.floats(1e-6, 1e6),
-        st.floats(1e-9, 1 - 1e-9),
-    )
-    def test_roundtrip(self, a, s, p):
-        a2, s2, p2 = from_transformed(to_transformed(a, s, p))
-        assert a2 == pytest.approx(a, rel=1e-12)
-        assert s2 == pytest.approx(s, rel=1e-12)
-        assert p2 == pytest.approx(p, rel=1e-9, abs=1e-12)
-
-    def test_boundary_p_clamped(self):
-        u = to_transformed(1.0, 1.0, 0.0)
-        assert u[2] == -30.0
-        _, _, p = from_transformed(u)
-        assert 0.0 < p < 1e-12
-
     def test_inverse_always_in_domain(self):
         for u in ([50, -50, 100], [-80, 80, -100]):
             a, s, p = from_transformed(np.array(u, dtype=float))
             assert a > 0 and s > 0 and 0 < p < 1
+
+    @pytest.mark.parametrize("x", [[29.99, -3.1, 29.5], [35.0, -40.0, -31.0]])
+    def test_hessian_taken_at_the_clipped_optimum(self, monkeypatch, x):
+        # the simplex "ends" at x; the Hessian must be probed at x clipped
+        # to the clamp, not at x mapped out to (a, s, p) and back
+        points = []
+
+        def fixed_simplex(objective, start):
+            return OptimResult(np.array(x), float(objective(np.array(x))), 1, True)
+
+        def recording_hessian(objective, point):
+            points.append(np.array(point))
+            return np.eye(3)
+
+        monkeypatch.setattr(inference, "nelder_mead", fixed_simplex)
+        monkeypatch.setattr(inference, "numeric_hessian", recording_hessian)
+        rng = np.random.default_rng(3)
+        panel = make_panel(rng.integers(1, 20, size=(4, 12)))
+        params = fit_day(panel, W, 11).params
+        clipped = np.clip(x, -LOGIT_CLAMP, LOGIT_CLAMP)
+        assert len(points) == 1 and np.array_equal(points[0], clipped)
+        assert (params.a, params.s, params.p) == from_transformed(clipped)
 
 
 def rotated(eigenvalues, seed=8):
@@ -499,32 +511,3 @@ class TestCountyEstimates:
         with pytest.raises(ValueError):
             county_estimates(panel, W, [bad])
 
-
-class TestBackdate:
-    def _fits(self):
-        rng = np.random.default_rng(23)
-        panel = make_panel(rng.integers(1, 10, size=(3, 12)))
-        return fit_panel(panel, W)
-
-    def test_identity(self):
-        fits = self._fits()
-        assert [f.date for f in backdate(fits, 0)] == [f.date for f in fits]
-
-    def test_seven_days(self):
-        fits = self._fits()
-        shifted = backdate(fits, 7)
-        assert shifted[0].date == fits[0].date - datetime.timedelta(days=7)
-        back = backdate(
-            [f for f in fits if f.date == datetime.date(2020, 3, 12)], 7
-        )
-        assert back[0].date == datetime.date(2020, 3, 5)
-
-    def test_composition(self):
-        fits = self._fits()
-        once = backdate(fits, 7)
-        twice = backdate(backdate(fits, 3), 4)
-        assert [f.date for f in once] == [f.date for f in twice]
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            backdate(self._fits(), -1)

@@ -85,6 +85,11 @@ class TestGenerationTimePmf:
         with pytest.raises(ValueError):
             GenerationTimePmf(1, np.array([1.5, -0.5]))
 
+    def test_rejects_nan_weight(self):
+        # the NaN would otherwise pass both the sign and the sum check
+        with pytest.raises(ValueError, match="nonnegative numbers"):
+            GenerationTimePmf(1, [np.nan, 0.5, 0.5])
+
     def test_rejects_zero_start(self):
         with pytest.raises(ValueError):
             GenerationTimePmf(0, np.array([1.0]))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from countyrt import cli, kernels
-from countyrt.inference import _moment_start, from_transformed, to_transformed
+from countyrt.inference import _moment_start, from_transformed
 from countyrt.model import phi_matrix
 from countyrt.optim import OptimResult, nelder_mead, numeric_hessian
 from countyrt.simulator import SimConfig, simulate
@@ -166,7 +166,7 @@ def test_float_simplex_matches_numpy_reference_on_fitted_days(default_day_data, 
     def objective(u):
         return kernels.day_negloglik(counts, phi, *from_transformed(u), constants)
 
-    start = to_transformed(*_moment_start(counts, phi))
+    start = _moment_start(counts, phi)
     # the first run and the restart from its optimum, as the fit makes them
     for _ in range(2):
         got = nelder_mead(objective, start)
