@@ -293,7 +293,7 @@ def _write_county_csv(
 def _country_row(fit: DayFit, shift: datetime.timedelta) -> list:
     """One ``country_estimates.csv`` row; a skipped day leaves the numbers blank."""
     day, p = (fit.date - shift).isoformat(), fit.params
-    if fit.skipped or p is None:
+    if fit.skipped:
         return [day, "", "", "", "", "", "", "", fit.skip_reason]
     lo, hi = fit.ci if fit.ci is not None else (None, None)
     numbers = [_fmt(x) for x in (p.a, p.s, p.p, fit.r_tilde, lo, hi)]

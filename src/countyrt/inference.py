@@ -69,11 +69,14 @@ class DayParams:
 @dataclass
 class DayFit:
     date: datetime.date
-    params: DayParams | None
-    r_tilde: float | None
-    ci: tuple | None
-    skipped: bool
+    params: DayParams | None = None  # None for a skipped day
+    r_tilde: float | None = None
+    ci: tuple | None = None
     skip_reason: str | None = None
+
+    @property
+    def skipped(self) -> bool:
+        return self.params is None
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,12 +221,12 @@ def r_tilde_ci(params: DayParams, level: float = 0.95):
 def _make_day_fit(date, counts, phi, config: FitConfig) -> DayFit:
     # without cases the likelihood grows as a*s -> 0 and the fit ends at the clamps
     if phi.sum() <= 0:
-        return DayFit(date, None, None, None, skipped=True, skip_reason="zero-phi")
+        return DayFit(date, skip_reason="zero-phi")
     if not counts.any():
-        return DayFit(date, None, None, None, skipped=True, skip_reason="no-cases")
+        return DayFit(date, skip_reason="no-cases")
     params = _fit_counts_phi(counts, phi)
     r = params.a * params.s
-    return DayFit(date, params, r, r_tilde_ci(params, config.level), skipped=False)
+    return DayFit(date, params, r, r_tilde_ci(params, config.level))
 
 
 def fit_day(
@@ -261,7 +264,7 @@ def fit_panel(
         raise ValueError("fitting requires at least 2 regions")
     phi = phi_matrix(panel, w)
     return [
-        DayFit(date, None, None, None, skipped=True, skip_reason="burn-in")
+        DayFit(date, skip_reason="burn-in")
         if t < w.support_end
         else _make_day_fit(date, panel.counts[:, t], phi[:, t], config)
         for t, date in enumerate(panel.dates)
@@ -281,7 +284,7 @@ def county_estimates(
     """
     config = config or FitConfig()
     date_to_t = {d: t for t, d in enumerate(panel.dates)}
-    fitted = [f for f in fits if not f.skipped and f.params is not None]
+    fitted = [f for f in fits if not f.skipped]
     days = [date_to_t[f.date] for f in fitted]
     a, s, p = (
         np.array([getattr(f.params, name) for f in fitted], dtype=np.float64)[:, None]

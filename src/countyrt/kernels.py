@@ -5,22 +5,15 @@ copies of those formulas; ``countyrt.model`` checks arguments and calls them.
 
 ``day_negloglik`` is evaluated hundreds of times per fitted day inside the
 simplex search, so it is the one hot kernel. Most of its work is the log
-rising factorial lgamma(a+i) - lgamma(a), computed in one of two regimes:
-
-- small counts (largest count at most 64): a cumulative log-product
-  table, accurate at every shape a and cheapest when the table is short;
-- large counts: an O(1) form per region, so the cost no longer grows
-  with the largest count. For a >= 10 it is Stirling's series written
-  with log1p, which stays accurate up to the a ~ e^30 Poisson ridge;
-  below that the plain gammaln difference has no cancellation to lose.
+rising factorial lgamma(a+i) - lgamma(a), in one of two regimes that
+``_rising`` picks once per day's counts.
 
 The rest of what the kernel reads does not depend on (a, s, p):
 ``DayConstants`` holds it for one day's (counts, Phi). That is the
-transfer's sum(Phi) - Phi, the log-factorial lgamma(i + 1) and, in the
-table regime, the table's steps 0..max count - 1 and the counts as
-indices. A caller that evaluates one day many times builds it once and
-passes it in; otherwise the kernel builds it per call, with the same
-bits.
+transfer's sum(Phi) - Phi, the log-factorial lgamma(i + 1) and the day's
+rising factorial as a function of a. A caller that evaluates one day many
+times builds it once and passes it in; otherwise the kernel builds it per
+call, with the same bits.
 
 A region whose mean is 0 takes a large finite sentinel log-pmf for a
 positive count instead of -inf. Only a direct caller can reach that
@@ -54,21 +47,6 @@ def _stirling_tail(x):
     return acc / x
 
 
-def _table_steps(counts: np.ndarray):
-    """(0..max count - 1 as floats, counts as int64) for the log-product
-    table, or None when the largest count is above the table's range."""
-    imax = int(counts.max(initial=0.0))
-    if imax > _TABLE_I_MAX:
-        return None
-    return np.arange(imax, dtype=np.float64), counts.astype(np.int64)
-
-
-def _table_rising(a: float, steps: np.ndarray, index: np.ndarray) -> np.ndarray:
-    # cumulative log-product table: entry i is lgamma(a+i)-lgamma(a)
-    table = np.concatenate([[0.0], np.log(a + steps).cumsum()])
-    return table[index]
-
-
 def _large_count_rising(a: float, counts: np.ndarray) -> np.ndarray:
     if a < _STIRLING_A_MIN:
         return special.gammaln(a + counts) - special.gammaln(a)
@@ -81,13 +59,34 @@ def _large_count_rising(a: float, counts: np.ndarray) -> np.ndarray:
     )
 
 
+def _rising(counts: np.ndarray):
+    """a -> lgamma(a + i) - lgamma(a) for each count i, the regime chosen once.
+
+    - largest count at most 64: a cumulative log-product table, accurate
+      at every shape a and cheapest when the table is short;
+    - larger counts: an O(1) form per region, so the cost no longer grows
+      with the largest count. For a >= 10 it is Stirling's series written
+      with log1p, which stays accurate up to the a ~ e^30 Poisson ridge;
+      below that the plain gammaln difference has no cancellation to lose.
+    """
+    imax = int(counts.max(initial=0.0))
+    if imax > _TABLE_I_MAX:
+        return lambda a: _large_count_rising(a, counts)
+    steps = np.arange(-1.0, imax)
+    index = counts.astype(np.int64)
+
+    def table(a):
+        # entry i is log(a) + ... + log(a+i-1); the first input is 1, so entry 0 is 0
+        x = a + steps
+        x[0] = 1.0
+        return np.log(x).cumsum()[index]
+
+    return table
+
+
 def log_rising_factorial(a: float, counts: np.ndarray) -> np.ndarray:
     """lgamma(a + i) - lgamma(a) for each non-negative integer i in counts."""
-    counts = np.asarray(counts, dtype=np.float64)
-    table = _table_steps(counts)
-    if table is not None:
-        return _table_rising(a, *table)
-    return _large_count_rising(a, counts)
+    return _rising(np.asarray(counts, dtype=np.float64))(a)
 
 
 def _others(phi):
@@ -105,15 +104,11 @@ def transfer(phi, p, others=None):
     return (1.0 - p) * phi + p * others / (K - 1)
 
 
-def log_nb_terms(a, counts, m, log_factorial, rising=None):
-    """log NB(i; a, m) for positive m: the rising factorial, the count's
-    log-factorial and the two mean terms.
-
-    ``rising`` is ``log_rising_factorial(a, counts)``, computed here when
-    left out.
+def log_nb_terms(a, counts, m, log_factorial, rising):
+    """log NB(i; a, m) for positive m: the rising factorial
+    ``log_rising_factorial(a, counts)``, the count's log-factorial and the
+    two mean terms.
     """
-    if rising is None:
-        rising = log_rising_factorial(a, counts)
     return (
         rising
         - log_factorial
@@ -126,24 +121,17 @@ class DayConstants:
     """What ``day_negloglik`` reads of one day's (counts, Phi) that does
     not depend on (a, s, p).
 
-    ``others`` is sum(Phi) - Phi, ``log_factorial`` lgamma(counts + 1).
-    ``table`` is the log-product table's (steps, index) pair when the
-    largest count is at most 64, else None.
+    ``others`` is sum(Phi) - Phi, ``log_factorial`` lgamma(counts + 1) and
+    ``rising`` the function a -> ``log_rising_factorial(a, counts)``.
     """
 
-    __slots__ = ("others", "log_factorial", "table")
+    __slots__ = ("others", "log_factorial", "rising")
 
     def __init__(self, counts, phi):
         counts = np.asarray(counts, dtype=np.float64)
         self.others = _others(np.asarray(phi, dtype=np.float64))
         self.log_factorial = special.gammaln(counts + 1.0)
-        self.table = _table_steps(counts)
-
-    def rising(self, a, counts):
-        """``log_rising_factorial(a, counts)`` for this day's counts."""
-        if self.table is not None:
-            return _table_rising(a, *self.table)
-        return _large_count_rising(a, counts)
+        self.rising = _rising(counts)
 
 
 def day_negloglik(counts, phi, a, s, p, constants=None):
@@ -164,11 +152,12 @@ def day_negloglik(counts, phi, a, s, p, constants=None):
         constants = DayConstants(counts, phi)
     m = s * transfer(phi, p, constants.others)
     log_factorial = constants.log_factorial
+    rising = constants.rising(a)
     if m.min() <= 0.0:
-        bad = m <= 0.0
-        ok = ~bad
+        # where the day's regime differs from these regions' own, a count
+        # above 64 meets a mean of 0, and its sentinel outweighs the rest
+        ok = m > 0.0
         ll = np.where(counts > 0, LOGPMF_SENTINEL, 0.0)
-        ll[ok] = log_nb_terms(a, counts[ok], m[ok], log_factorial[ok])
+        ll[ok] = log_nb_terms(a, counts[ok], m[ok], log_factorial[ok], rising[ok])
         return -float(ll.sum())
-    rising = constants.rising(a, counts)
     return -float(log_nb_terms(a, counts, m, log_factorial, rising).sum())

@@ -213,7 +213,8 @@ def negbin_logpmf(i: int, a: float, m: float) -> float:
         raise ValueError(f"mean parameter must be nonnegative, got {m}")
     if m == 0.0:
         return 0.0 if i == 0 else -math.inf
-    return float(kernels.log_nb_terms(a, float(i), m, special.gammaln(i + 1.0)))
+    rising = kernels.log_rising_factorial(a, float(i))
+    return float(kernels.log_nb_terms(a, float(i), m, special.gammaln(i + 1.0), rising))
 
 
 @dataclass(frozen=True)

@@ -116,8 +116,8 @@ def nelder_mead(objective, start, tol: float = 1e-8, max_iter: int = 2000) -> Op
 def numeric_hessian(objective, point, step: float = 1e-4) -> np.ndarray:
     """Central-difference Hessian with per-coordinate step step*(1+|x_j|).
 
-    The output is symmetrized. Raises ArithmeticError if any probed point
-    evaluates non-finite, reporting the offending offset.
+    The output is symmetric by construction. Raises ArithmeticError if any
+    probed point evaluates non-finite, reporting the offending offset.
     """
     x = np.asarray(point, dtype=np.float64)
     n = x.size
@@ -144,4 +144,4 @@ def numeric_hessian(objective, point, step: float = 1e-4) -> np.ndarray:
             H[j, l] = H[l, j] = (
                 ev(ej + el) - ev(ej - el) - ev(-ej + el) + ev(-ej - el)
             ) / (4.0 * h[j] * h[l])
-    return (H + H.T) / 2.0
+    return H

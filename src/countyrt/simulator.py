@@ -57,6 +57,13 @@ class SimConfig:
                 raise ValueError("schedule R values must be >= 0 and finite")
         if self.county_r_scale is not None and not 0 < self.county_r_scale < np.inf:
             raise ValueError("county_r_scale must be positive and finite")
+        try:  # the first burn-in date and the last simulated date
+            for days in (1 - self.w.support_end, sum(dur for dur, _ in self.schedule)):
+                self.start_date + datetime.timedelta(days=days)
+        except OverflowError:
+            raise ValueError(
+                f"start_date {self.start_date} puts simulated dates outside years 1-9999"
+            ) from None
 
 
 @dataclass

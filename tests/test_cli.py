@@ -348,6 +348,9 @@ def test_bad_quantiles_are_usage_errors(quantiles, sim_dir, tmp_path, capsys):
         ("--schedule", "20:inf", "schedule R values must be >= 0 and finite"),
         ("--county-r-scale", "nan", "county_r_scale must be positive and finite"),
         ("--county-r-scale", "inf", "county_r_scale must be positive and finite"),
+        # the burn-in starts before year 1; the default schedule ends after 9999
+        ("--start-date", "0001-01-01", "start_date 0001-01-01 puts simulated dates outside"),
+        ("--start-date", "9999-12-25", "start_date 9999-12-25 puts simulated dates outside"),
     ],
 )
 def test_out_of_range_simulate_values_are_usage_errors(flag, value, message, tmp_path, capsys):

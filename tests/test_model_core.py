@@ -244,6 +244,25 @@ class TestNegbinLogpmf:
             expected = mixture_logpmf_quadrature(i, a, s, lam)
             assert negbin_logpmf(i, a, s * lam) == pytest.approx(expected, abs=1e-8)
 
+    @pytest.mark.parametrize("i", [0, 64, 65, 100_000])
+    @pytest.mark.parametrize("a", [0.5, 12.0, 1e8])
+    def test_matches_mpmath_in_both_regimes(self, i, a):
+        """Counts up to 64 take the log-product table, larger ones the O(1)
+        form (Stirling's series from a = 10 on)."""
+        mpmath = pytest.importorskip("mpmath")
+        for m in (0.3, 1.1 * max(i, 1) / a):
+            with mpmath.workdps(60):
+                ma, mm = mpmath.mpf(a), mpmath.mpf(m)
+                ref = float(
+                    mpmath.loggamma(ma + i)
+                    - mpmath.loggamma(ma)
+                    - mpmath.loggamma(i + 1)
+                    + i * mpmath.log(mm / (1 + mm))
+                    - ma * mpmath.log1p(mm)
+                )
+            got = negbin_logpmf(i, a, m)
+            assert abs(got - ref) <= 1e-10 * max(abs(ref), 1.0), (m, got, ref)
+
     def test_sums_to_one(self):
         for a, m in [(1.0, 3.0), (4.0, 0.7), (20.0, 0.1)]:
             mean = a * m

@@ -103,6 +103,16 @@ class TestSimulate:
         with pytest.raises(ValueError, match="finite"):
             SimConfig(schedule=((5, 1.2), (20, math.nan)))
 
+    def test_dates_outside_years_1_to_9999_rejected(self):
+        # the default w's burn-in starts 9 days before start_date, and the
+        # 5-day schedule ends 5 days after it
+        last = datetime.date(9999, 12, 31)
+        for start in (datetime.date(1, 1, 9), last - datetime.timedelta(days=4)):
+            with pytest.raises(ValueError, match="outside years 1-9999"):
+                SimConfig(schedule=((5, 1.2),), start_date=start)
+        for start in (datetime.date(1, 1, 10), last - datetime.timedelta(days=5)):
+            SimConfig(schedule=((5, 1.2),), start_date=start)
+
 
 class TestCrossCountyFraction:
     def test_tiny_sigma(self):
