@@ -128,15 +128,17 @@ def from_transformed(u) -> tuple:
 def _pinv_information(H: np.ndarray):
     """Pseudo-inverse of an observed information matrix, or None.
 
-    Directions whose eigenvalue is at or below max(1e-10, 1e-9 * the
-    largest) are treated as constrained: their variance contribution is
-    dropped, whether rounding left that eigenvalue slightly positive or
-    negative. On a well conditioned matrix this is the inverse. Valid for
-    the r_tilde delta method because its gradient is orthogonal to the
-    flat directions (the a->inf Poisson ridge and an unidentified p both
-    leave a*s fixed). None when no eigenvalue is above the floor.
+    The caller passes H exactly symmetric, as ``numeric_hessian`` returns
+    it; ``eigh`` reads only its lower triangle. Directions whose
+    eigenvalue is at or below max(1e-10, 1e-9 * the largest) are treated
+    as constrained: their variance contribution is dropped, whether
+    rounding left that eigenvalue slightly positive or negative. On a well
+    conditioned matrix this is the inverse. Valid for the r_tilde delta
+    method because its gradient is orthogonal to the flat directions (the
+    a->inf Poisson ridge and an unidentified p both leave a*s fixed). None
+    when no eigenvalue is above the floor.
     """
-    vals, vecs = np.linalg.eigh((H + H.T) / 2.0)
+    vals, vecs = np.linalg.eigh(H)
     floor = max(1e-10, 1e-9 * float(vals.max(initial=0.0)))
     if vals.max(initial=0.0) <= floor:
         return None

@@ -11,22 +11,24 @@ rising factorial lgamma(a+i) - lgamma(a), in one of two regimes that
 The rest of what the kernel reads does not depend on (a, s, p):
 ``DayConstants`` holds it for one day's (counts, Phi). That is the
 transfer's sum(Phi) - Phi, the log-factorial lgamma(i + 1) and the day's
-rising factorial as a function of a. A caller that evaluates one day many
-times builds it once and passes it in; otherwise the kernel builds it per
-call, with the same bits.
+rising factorial as a function of a. The caller builds it once per day
+and passes it to every evaluation.
 
-A region whose mean is 0 takes a large finite sentinel log-pmf for a
-positive count instead of -inf. Only a direct caller can reach that
-branch, with p exactly 0 or 1 and a zero-Phi region: the fit searches in
-logit p, which keeps p within [9.4e-14, 1 - 9.4e-14].
+The kernel's domain is every region's mean s * Lambda_c positive, and it
+makes no check. The fit keeps it there: a day whose Phi is 0 everywhere
+is skipped, and the search's clamp keeps p within [9.4e-14, 1 - 9.4e-14]
+and s >= e^-30, so every mean is at least about
+8.8e-27 * (smallest positive Phi) / (K - 1). Only a ``--gen-time
+weights:`` file with a positive weight below about 1e-290 can make a mean
+underflow to 0; the sum is then not finite, and the simplex search treats
+it as +inf. ``countyrt.model.negbin_logpmf`` is the checked view, and the
+one that defines the mean-0 case.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy import special
-
-LOGPMF_SENTINEL = -1e100
 
 # Up to this count the rising factorial is read from a log-product table.
 _TABLE_I_MAX = 64
@@ -134,30 +136,15 @@ class DayConstants:
         self.rising = _rising(counts)
 
 
-def day_negloglik(counts, phi, a, s, p, constants=None):
+def day_negloglik(counts, phi, a, s, p, constants):
     """Negative log-likelihood of one day's counts.
 
     Sums -log NB(I_c; a, s * Lambda_c) over regions, with Lambda the
-    transfer redistribution of phi. A region with mean 0 (p exactly 0 or
-    1 and a zero-Phi region) adds 0 for a zero count and
-    -LOGPMF_SENTINEL for a positive one.
-
-    ``constants`` is the day's ``DayConstants(counts, phi)``, which a
-    caller evaluating one day many times builds once and passes in; when
-    it is left out it is built here.
+    transfer redistribution of phi; every mean s * Lambda_c must be
+    positive (see the module docstring). ``constants`` is the day's
+    ``DayConstants(counts, phi)``, and counts and phi are float64 arrays.
     """
-    counts = np.asarray(counts, dtype=np.float64)
-    phi = np.asarray(phi, dtype=np.float64)
-    if constants is None:
-        constants = DayConstants(counts, phi)
     m = s * transfer(phi, p, constants.others)
-    log_factorial = constants.log_factorial
-    rising = constants.rising(a)
-    if m.min() <= 0.0:
-        # where the day's regime differs from these regions' own, a count
-        # above 64 meets a mean of 0, and its sentinel outweighs the rest
-        ok = m > 0.0
-        ll = np.where(counts > 0, LOGPMF_SENTINEL, 0.0)
-        ll[ok] = log_nb_terms(a, counts[ok], m[ok], log_factorial[ok], rising[ok])
-        return -float(ll.sum())
-    return -float(log_nb_terms(a, counts, m, log_factorial, rising).sum())
+    return -float(
+        log_nb_terms(a, counts, m, constants.log_factorial, constants.rising(a)).sum()
+    )

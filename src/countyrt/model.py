@@ -98,12 +98,11 @@ class IncidencePanel:
         ids = tuple(str(r) for r in self.region_ids)
         dates = tuple(self.dates)
         counts = np.asarray(self.counts)
-        if not np.issubdtype(counts.dtype, np.integer):
-            if not np.all(counts == np.floor(counts)):
-                raise ValueError("counts must be integers")
-            counts = counts.astype(np.int64)
-        else:
-            counts = counts.astype(np.int64)
+        if not np.issubdtype(counts.dtype, np.integer) and not np.all(
+            np.isfinite(counts) & (counts == np.floor(counts))
+        ):
+            raise ValueError("counts must be integers")
+        counts = counts.astype(np.int64)
         counts.flags.writeable = False
         object.__setattr__(self, "region_ids", ids)
         object.__setattr__(self, "dates", dates)

@@ -57,8 +57,15 @@ class SimConfig:
                 raise ValueError("schedule R values must be >= 0 and finite")
         if self.county_r_scale is not None and not 0 < self.county_r_scale < np.inf:
             raise ValueError("county_r_scale must be positive and finite")
-        try:  # the first burn-in date and the last simulated date
-            for days in (1 - self.w.support_end, sum(dur for dur, _ in self.schedule)):
+        # offsets of the first burn-in date and the last simulated date
+        first, last = 1 - self.w.support_end, sum(dur for dur, _ in self.schedule)
+        if last - first > (datetime.date.max - datetime.date.min).days:
+            raise ValueError(
+                f"a schedule of {last} days puts simulated dates outside years 1-9999"
+                " from any start_date"
+            )
+        try:
+            for days in (first, last):
                 self.start_date + datetime.timedelta(days=days)
         except OverflowError:
             raise ValueError(

@@ -351,6 +351,7 @@ def test_bad_quantiles_are_usage_errors(quantiles, sim_dir, tmp_path, capsys):
         # the burn-in starts before year 1; the default schedule ends after 9999
         ("--start-date", "0001-01-01", "start_date 0001-01-01 puts simulated dates outside"),
         ("--start-date", "9999-12-25", "start_date 9999-12-25 puts simulated dates outside"),
+        ("--schedule", "1000000000:1", "a schedule of 1000000000 days puts simulated dates"),
     ],
 )
 def test_out_of_range_simulate_values_are_usage_errors(flag, value, message, tmp_path, capsys):

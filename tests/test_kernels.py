@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 from scipy import special
 
 from countyrt import cli, inference, kernels, negbin_logpmf
-from countyrt.kernels import LOGPMF_SENTINEL, day_negloglik
+from countyrt.inference import LOGIT_CLAMP, from_transformed
+from countyrt.model import compute_phi
 from countyrt.simulator import SimConfig, simulate
 from perfbench import workloads
 
@@ -22,17 +24,19 @@ def literal_negloglik(counts, phi, a, s, p):
         lam = (1 - p) * phi[c] + p * (total - phi[c]) / (K - 1)
         m = s * lam
         i = int(counts[c])
-        if m == 0:
-            nll -= 0.0 if i == 0 else LOGPMF_SENTINEL
-        else:
-            nll -= (
-                math.lgamma(a + i)
-                - math.lgamma(a)
-                - math.lgamma(i + 1)
-                + i * math.log(m / (1 + m))
-                - a * math.log1p(m)
-            )
+        nll -= (
+            math.lgamma(a + i)
+            - math.lgamma(a)
+            - math.lgamma(i + 1)
+            + i * math.log(m / (1 + m))
+            - a * math.log1p(m)
+        )
     return nll
+
+
+def day_negloglik(counts, phi, a, s, p):
+    """The kernel with the day's constants built for this one call."""
+    return kernels.day_negloglik(counts, phi, a, s, p, kernels.DayConstants(counts, phi))
 
 
 def random_cases(seed, n=30):
@@ -64,7 +68,7 @@ def test_matches_public_pmf_sum():
     expected = -sum(
         negbin_logpmf(int(counts[c]), a, s * lam[c]) for c in range(K)
     )
-    assert kernels.day_negloglik(counts, phi, a, s, p) == pytest.approx(expected)
+    assert day_negloglik(counts, phi, a, s, p) == pytest.approx(expected)
 
 
 def test_large_shape_stays_accurate():
@@ -82,21 +86,30 @@ def test_large_shape_stays_accurate():
         literal_sum -= (
             rising - math.lgamma(i + 1) + i * math.log(m / (1 + m)) - a * math.log1p(m)
         )
-    got = kernels.day_negloglik(counts, phi, a, s, 0.0)
+    got = day_negloglik(counts, phi, a, s, 0.0)
     assert got == pytest.approx(literal_sum, rel=1e-12)
 
 
-def test_zero_phi_all_zero_counts_is_zero():
-    assert kernels.day_negloglik(
-        np.zeros(4), np.zeros(4), 1.0, 1.0, 0.3
-    ) == pytest.approx(0.0)
-
-
-def test_impossible_observation_uses_sentinel():
-    val = kernels.day_negloglik(
-        np.array([2.0, 0.0]), np.zeros(2), 1.0, 1.0, 0.0
-    )
-    assert val == pytest.approx(-LOGPMF_SENTINEL)
+def test_clamp_box_corners_keep_every_mean_positive():
+    """The fit's domain: on days with zero-Phi regions, every corner of the
+    search's clamp box gives positive means and a finite kernel value."""
+    panel = simulate(SimConfig(k=5, initial_cases=100, schedule=((25, 1.3),), seed=1)).panel
+    w = cli.parse_gen_time(cli.DEFAULT_GEN_TIME)
+    edges = (-LOGIT_CLAMP, LOGIT_CLAMP)
+    corners = [from_transformed(np.array(u)) for u in itertools.product(edges, repeat=3)]
+    days = 0
+    for t in range(w.support_end, len(panel.dates)):
+        counts = panel.counts[:, t].astype(np.float64)
+        phi = compute_phi(panel, w, t)
+        if not (phi == 0.0).any():
+            continue
+        days += 1
+        constants = kernels.DayConstants(counts, phi)
+        for a, s, p in corners:
+            assert (s * kernels.transfer(phi, p) > 0.0).all(), (t, a, s, p)
+            nll = kernels.day_negloglik(counts, phi, a, s, p, constants)
+            assert math.isfinite(nll), (t, a, s, p)
+    assert days > 0
 
 
 def mp_log_rising(a, i):
@@ -157,60 +170,61 @@ def test_large_counts_match_mpmath_literal(a):
 
 def kernel_constant_days():
     rng = np.random.default_rng(5)
-    # regions with Phi = 0 have mean 0 at p = 0 and are masked out
-    zero_mean = (np.array([0.0, 3.0, 0.0, 7.0]), np.array([0.0, 4.0, 0.0, 6.0]), 0.0)
     phi = rng.uniform(0.5, 40.0, size=50)
     table = (rng.poisson(phi).astype(float), phi, 0.3)
     phi = rng.uniform(50.0, 1e4, size=50)
     large = (rng.poisson(phi).astype(float), phi, 0.05)
-    assert zero_mean[0].max() <= 64 < large[0].max() and table[0].max() <= 64
-    return {"zero-mean": zero_mean, "table": table, "large-counts": large}
+    assert table[0].max() <= 64 < large[0].max()
+    return {"table": table, "large-counts": large}
 
 
 def masked_negloglik(counts, phi, a, s, p):
-    """The kernel's sum with lgamma(i + 1) computed inline, every term masked."""
+    """The kernel's sum with every term, lgamma(i + 1) and the rising
+    factorial included, computed inline per call."""
     K = phi.shape[0]
     lam = (1.0 - p) * phi + p * (phi.sum() - phi) / (K - 1.0)
     m = s * lam
-    ll = np.empty(K)
-    bad = m <= 0.0
-    ll[bad] = np.where(counts[bad] > 0, LOGPMF_SENTINEL, 0.0)
-    ok = ~bad
-    mo, io = m[ok], counts[ok]
-    ll[ok] = (
-        kernels.log_rising_factorial(a, io)
-        - special.gammaln(io + 1.0)
-        + io * np.log(mo / (1.0 + mo))
-        - a * np.log1p(mo)
+    ll = (
+        kernels.log_rising_factorial(a, counts)
+        - special.gammaln(counts + 1.0)
+        + counts * np.log(m / (1.0 + m))
+        - a * np.log1p(m)
     )
     return -float(ll.sum())
 
 
-@pytest.mark.parametrize("day", ["zero-mean", "table", "large-counts"])
+@pytest.mark.parametrize("day", ["table", "large-counts"])
 def test_day_constants_are_bit_identical(day):
     counts, phi, p = kernel_constant_days()[day]
     constants = kernels.DayConstants(counts, phi)
     for a in (0.7, 12.0, 3e5, 1e13):
         for s in (0.02, 1.3, 40.0 / a):
-            with_constants = day_negloglik(counts, phi, a, s, p, constants)
-            assert with_constants == day_negloglik(counts, phi, a, s, p), (a, s)
+            with_constants = kernels.day_negloglik(counts, phi, a, s, p, constants)
             assert with_constants == masked_negloglik(counts, phi, a, s, p), (a, s)
+
+
+# p at the search's clamp edges, 1 / (1 + e^30) from 0 or 1
+P_EDGE = from_transformed(np.array([0.0, 0.0, -LOGIT_CLAMP]))[2]
 
 
 @st.composite
 def kernel_days(draw):
-    """A day and a point (a, s, p): table or Stirling-regime counts, some
-    zero-Phi regions, p at 0 or 1 as often as inside, a up to 1e13."""
+    """A day and a point (a, s, p) with every mean positive: table or
+    Stirling-regime counts, some zero-Phi regions but never all, p at the
+    clamp edges as often as inside, a up to 1e13."""
     K = draw(st.integers(2, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     largest = draw(st.sampled_from([0, 1, 64, 65, 1_000, 100_000]))
     counts = rng.integers(0, largest + 1, size=K).astype(float)
     counts[rng.integers(K)] = largest
     phi = rng.uniform(0.0, 2.0 * largest + 1.0, size=K)
-    phi[rng.uniform(size=K) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    zero = rng.uniform(size=K) < draw(st.sampled_from([0.0, 0.3]))
+    zero[rng.integers(K)] = False
+    phi[zero] = 0.0
     a = draw(st.floats(1e-3, 1e13))
     s = draw(st.floats(1e-6, 1e3))
-    p = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    p = draw(st.sampled_from([P_EDGE, 1.0 - P_EDGE]) | st.floats(P_EDGE, 1.0 - P_EDGE))
+    assert (s * kernels.transfer(phi, p) > 0.0).all()
     return counts, phi, a, s, p
 
 
@@ -218,9 +232,7 @@ def kernel_days(draw):
 @given(kernel_days())
 def test_day_constants_are_bit_identical_everywhere(day):
     counts, phi, a, s, p = day
-    with_constants = day_negloglik(counts, phi, a, s, p, kernels.DayConstants(counts, phi))
-    assert with_constants == day_negloglik(counts, phi, a, s, p)
-    assert with_constants == masked_negloglik(counts, phi, a, s, p)
+    assert day_negloglik(counts, phi, a, s, p) == masked_negloglik(counts, phi, a, s, p)
 
 
 FIT_PANELS = {
@@ -241,7 +253,7 @@ def test_fit_with_day_constants_matches_masked_kernel(name, monkeypatch):
     monkeypatch.setattr(
         kernels,
         "day_negloglik",
-        lambda counts, phi, a, s, p, constants=None: masked_negloglik(counts, phi, a, s, p),
+        lambda counts, phi, a, s, p, constants: masked_negloglik(counts, phi, a, s, p),
     )
     masked = inference.fit_panel(panel, w)
     days = [(f.params, g.params) for f, g in zip(fitted, masked) if not f.skipped]

@@ -1,5 +1,6 @@
 import datetime
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -366,3 +367,13 @@ class TestIncidencePanel:
         dates = (datetime.date(2020, 3, 1),)
         with pytest.raises(ValueError):
             IncidencePanel(("a", "b"), dates, np.array([[1], [-1]]))
+
+    @pytest.mark.parametrize("bad", [2.5, math.nan, math.inf, -math.inf])
+    def test_rejects_non_integer_counts(self, bad):
+        dates = (datetime.date(2020, 3, 1),)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="^counts must be integers$"):
+                IncidencePanel(("a", "b"), dates, np.array([[1.0], [bad]]))
+            panel = IncidencePanel(("a", "b"), dates, np.array([[1.0], [3.0]]))
+        assert panel.counts.dtype == np.int64 and panel.counts.tolist() == [[1], [3]]

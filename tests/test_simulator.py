@@ -112,6 +112,13 @@ class TestSimulate:
                 SimConfig(schedule=((5, 1.2),), start_date=start)
         for start in (datetime.date(1, 1, 10), last - datetime.timedelta(days=5)):
             SimConfig(schedule=((5, 1.2),), start_date=start)
+        # a schedule longer than years 1-9999 less the burn-in fits no start date
+        first = datetime.date(1, 1, 10)
+        longest = (last - first).days
+        SimConfig(schedule=((longest, 1.2),), start_date=first)
+        for days in (longest + 1, 10**9):
+            with pytest.raises(ValueError, match=f"^a schedule of {days} days puts simulated"):
+                SimConfig(schedule=((days, 1.2),))
 
 
 class TestCrossCountyFraction:
