@@ -18,7 +18,6 @@ import contextlib
 import csv
 import dataclasses
 import datetime
-import io
 import itertools
 import json
 import sys
@@ -28,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .inference import CountyPosteriors, DayFit, FitConfig, county_estimates, fit_panel
-from .ingest import PanelFormatError, load_panel, write_panel
+from .ingest import PanelFormatError, csv_field, load_panel, write_panel
 from .model import GenerationTimePmf, naive_series, trapezoid_pmf
 from .simulator import SimConfig, simulate
 
@@ -259,13 +258,6 @@ def _parse_quantiles(spec: str) -> tuple:
     return probs, names
 
 
-def _csv_field(value: str) -> str:
-    """``value`` as ``csv.writer`` writes it in a row, quoted where it must be."""
-    buf = io.StringIO()
-    csv.writer(buf).writerow([value, ""])
-    return buf.getvalue()[: -len(",\r\n")]
-
-
 def _write_county_csv(
     path, counties: CountyPosteriors, q_names: list, shift: datetime.timedelta
 ) -> None:
@@ -275,7 +267,7 @@ def _write_county_csv(
     use ``%.10g`` like ``_fmt``, and region ids are quoted once, not per row.
     """
     row = "%s,%s,%.10g,%d,%.10g" + ",%.10g" * len(q_names) + "\r\n"
-    ids = [_csv_field(r) for r in counties.region_ids]
+    ids = [csv_field(r) for r in counties.region_ids]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(["date", "region_id", "lambda", "cases", "post_mean"] + q_names)
         for d, day in enumerate(counties.dates):

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import csv
 import datetime
+import io
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -133,14 +135,26 @@ def load_panel(
     return panel, report
 
 
+def csv_field(value: str) -> str:
+    """``value`` as ``csv.writer`` writes it in a row, quoted where it must be."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([value, ""])
+    return buf.getvalue()[: -len(",\r\n")]
+
+
 def write_panel(panel: IncidencePanel, path) -> None:
-    """Write the canonical long CSV (region-major, then date)."""
+    """Write the canonical long CSV (region-major, then date).
+
+    The bytes are those ``csv.writer`` gives, one row at a time. Each
+    region's rows come from one ``%`` format, with the ISO dates and the
+    quoted region id computed once.
+    """
+    days = [day.isoformat() for day in panel.dates]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["region_id", "date", "cases"])
-        for c, region in enumerate(panel.region_ids):
-            for t, day in enumerate(panel.dates):
-                writer.writerow([region, day.isoformat(), int(panel.counts[c, t])])
+        csv.writer(fh).writerow(["region_id", "date", "cases"])
+        for region, counts in zip(panel.region_ids, panel.counts.tolist()):
+            rows = zip(itertools.repeat(csv_field(region)), days, counts)
+            fh.write("".join(map("%s,%s,%d\r\n".__mod__, rows)))
 
 
 def aggregate_country(panel: IncidencePanel) -> IncidencePanel:

@@ -4,15 +4,17 @@
 copies of those formulas; ``countyrt.model`` checks arguments and calls them.
 
 ``day_negloglik`` is evaluated hundreds of times per fitted day inside the
-simplex search, so it is the one hot kernel. Most of its work is the log
-rising factorial lgamma(a+i) - lgamma(a), in one of two regimes that
-``_rising`` picks once per day's counts.
+simplex search, so it is the one hot kernel. Most of its work is the NB
+coefficient lgamma(a+i) - lgamma(a) - lgamma(i+1): the log rising
+factorial, in one of two regimes that ``_rising`` picks once per day's
+counts, less the count's log-factorial, which is folded into it.
 
 The rest of what the kernel reads does not depend on (a, s, p):
 ``DayConstants`` holds it for one day's (counts, Phi). That is the
-transfer's sum(Phi) - Phi, the log-factorial lgamma(i + 1) and the day's
-rising factorial as a function of a. The caller builds it once per day
-and passes it to every evaluation.
+transfer's sum(Phi) - Phi and the day's NB coefficient as a function of
+a. In the table regime the log-factorial is taken off the table of at
+most 65 entries before the gather, not off every region. The caller
+builds the constants once per day and passes them to every evaluation.
 
 The kernel's domain is every region's mean s * Lambda_c positive, and it
 makes no check. The fit keeps it there: a day whose Phi is 0 everywhere
@@ -61,7 +63,7 @@ def _large_count_rising(a: float, counts: np.ndarray) -> np.ndarray:
     )
 
 
-def _rising(counts: np.ndarray):
+def _rising(counts: np.ndarray, log_factorial: bool = False):
     """a -> lgamma(a + i) - lgamma(a) for each count i, the regime chosen once.
 
     - largest count at most 64: a cumulative log-product table, accurate
@@ -70,18 +72,25 @@ def _rising(counts: np.ndarray):
       with the largest count. For a >= 10 it is Stirling's series written
       with log1p, which stays accurate up to the a ~ e^30 Poisson ridge;
       below that the plain gammaln difference has no cancellation to lose.
+
+    With ``log_factorial`` the function gives the NB coefficient
+    lgamma(a + i) - lgamma(a) - lgamma(i + 1): the table regime takes
+    lgamma(i + 1) off its entries before the gather, the O(1) regime off
+    each region. Without it, 0.0 is taken off, which keeps every bit.
     """
     imax = int(counts.max(initial=0.0))
     if imax > _TABLE_I_MAX:
-        return lambda a: _large_count_rising(a, counts)
+        lf = special.gammaln(counts + 1.0) if log_factorial else 0.0
+        return lambda a: _large_count_rising(a, counts) - lf
     steps = np.arange(-1.0, imax)
     index = counts.astype(np.int64)
+    lf = special.gammaln(np.arange(imax + 1.0) + 1.0) if log_factorial else 0.0
 
     def table(a):
         # entry i is log(a) + ... + log(a+i-1); the first input is 1, so entry 0 is 0
         x = a + steps
         x[0] = 1.0
-        return np.log(x).cumsum()[index]
+        return (np.log(x).cumsum() - lf)[index]
 
     return table
 
@@ -106,34 +115,29 @@ def transfer(phi, p, others=None):
     return (1.0 - p) * phi + p * others / (K - 1)
 
 
-def log_nb_terms(a, counts, m, log_factorial, rising):
-    """log NB(i; a, m) for positive m: the rising factorial
-    ``log_rising_factorial(a, counts)``, the count's log-factorial and the
-    two mean terms.
+def log_nb_terms(a, counts, m, coefficient):
+    """log NB(i; a, m) for positive m: the NB coefficient
+    lgamma(a + i) - lgamma(a) - lgamma(i + 1) of each count, as
+    ``DayConstants.coefficient(a)`` gives it, and the two mean terms.
     """
-    return (
-        rising
-        - log_factorial
-        + counts * np.log(m / (1.0 + m))
-        - a * np.log1p(m)
-    )
+    return coefficient + counts * np.log(m / (1.0 + m)) - a * np.log1p(m)
 
 
 class DayConstants:
     """What ``day_negloglik`` reads of one day's (counts, Phi) that does
     not depend on (a, s, p).
 
-    ``others`` is sum(Phi) - Phi, ``log_factorial`` lgamma(counts + 1) and
-    ``rising`` the function a -> ``log_rising_factorial(a, counts)``.
+    ``others`` is sum(Phi) - Phi, and ``coefficient`` the function
+    a -> lgamma(a + i) - lgamma(a) - lgamma(i + 1) over the counts: for
+    counts up to 64, a gather from one table of at most 65 entries with
+    the log-factorial already taken off.
     """
 
-    __slots__ = ("others", "log_factorial", "rising")
+    __slots__ = ("others", "coefficient")
 
     def __init__(self, counts, phi):
-        counts = np.asarray(counts, dtype=np.float64)
         self.others = _others(np.asarray(phi, dtype=np.float64))
-        self.log_factorial = special.gammaln(counts + 1.0)
-        self.rising = _rising(counts)
+        self.coefficient = _rising(np.asarray(counts, dtype=np.float64), log_factorial=True)
 
 
 def day_negloglik(counts, phi, a, s, p, constants):
@@ -145,6 +149,4 @@ def day_negloglik(counts, phi, a, s, p, constants):
     ``DayConstants(counts, phi)``, and counts and phi are float64 arrays.
     """
     m = s * transfer(phi, p, constants.others)
-    return -float(
-        log_nb_terms(a, counts, m, constants.log_factorial, constants.rising(a)).sum()
-    )
+    return -float(log_nb_terms(a, counts, m, constants.coefficient(a)).sum())

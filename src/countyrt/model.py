@@ -98,10 +98,12 @@ class IncidencePanel:
         ids = tuple(str(r) for r in self.region_ids)
         dates = tuple(self.dates)
         counts = np.asarray(self.counts)
-        if not np.issubdtype(counts.dtype, np.integer) and not np.all(
-            np.isfinite(counts) & (counts == np.floor(counts))
-        ):
-            raise ValueError("counts must be integers")
+        if not np.issubdtype(counts.dtype, np.integer):
+            if not np.all(np.isfinite(counts) & (counts == np.floor(counts))):
+                raise ValueError("counts must be integers")
+            # checked before the cast, which would wrap them
+            if not np.all((-(2.0**63) <= counts) & (counts < 2.0**63)):
+                raise ValueError("counts must fit in int64")
         counts = counts.astype(np.int64)
         counts.flags.writeable = False
         object.__setattr__(self, "region_ids", ids)
@@ -212,8 +214,8 @@ def negbin_logpmf(i: int, a: float, m: float) -> float:
         raise ValueError(f"mean parameter must be nonnegative, got {m}")
     if m == 0.0:
         return 0.0 if i == 0 else -math.inf
-    rising = kernels.log_rising_factorial(a, float(i))
-    return float(kernels.log_nb_terms(a, float(i), m, special.gammaln(i + 1.0), rising))
+    coefficient = kernels.log_rising_factorial(a, float(i)) - special.gammaln(i + 1.0)
+    return float(kernels.log_nb_terms(a, float(i), m, coefficient))
 
 
 @dataclass(frozen=True)
@@ -258,11 +260,20 @@ def gamma_posterior(a, s, lambda_c, cases) -> tuple:
 
 
 def gamma_quantiles(shape, scale, probs) -> np.ndarray:
-    """Inverse CDF of Gamma(shape, scale) at each of probs, on a new last axis."""
+    """Inverse CDF of Gamma(shape, scale) at each of probs, on a new last axis.
+
+    ``gammaincinv`` runs once per distinct shape, and its rows are gathered
+    back: the shapes a + i_c of a fitted day take only as many values as
+    its counts do. The function is elementwise, so the bits are those of a
+    call on every shape.
+    """
     probs = np.asarray(probs, dtype=np.float64)
     if not np.all((0 < probs) & (probs < 1)):
         raise ValueError(f"quantile probabilities must lie in (0, 1), got {probs.tolist()}")
-    return special.gammaincinv(np.asarray(shape)[..., None], probs) * np.asarray(scale)[..., None]
+    shape = np.asarray(shape)
+    distinct, inverse = np.unique(shape.ravel(), return_inverse=True)
+    unit = special.gammaincinv(distinct[:, None], probs)[inverse.reshape(shape.shape)]
+    return unit * np.asarray(scale)[..., None]
 
 
 def posterior(a: float, s: float, lambda_c: float, i_c: int) -> GammaPosterior:

@@ -1,10 +1,13 @@
+import csv
 import datetime
+import io
 
 import numpy as np
 import pytest
 
 from countyrt import aggregate_country, load_panel, write_panel
 from countyrt.ingest import PanelFormatError
+from countyrt.model import IncidencePanel
 
 
 def write_csv(tmp_path, text, name="panel.csv"):
@@ -219,6 +222,26 @@ class TestRoundTrip:
         out2 = tmp_path / "canonical2.csv"
         write_panel(panel2, out2)
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_quoted_region_ids_match_csv_writer_and_round_trip(self, tmp_path):
+        ids = ("plain", "comma, county", 'say "hi"', "  spaced  ", "100%")
+        dates = tuple(datetime.date(2020, 2, 28) + datetime.timedelta(days=i) for i in range(3))
+        counts = np.arange(15).reshape(5, 3) * 1000
+        panel = IncidencePanel(ids, dates, counts)
+        path = tmp_path / "panel.csv"
+        write_panel(panel, path)
+        want = io.StringIO(newline="")
+        writer = csv.writer(want)
+        writer.writerow(["region_id", "date", "cases"])
+        for c, region in enumerate(ids):
+            for t, day in enumerate(dates):
+                writer.writerow([region, day.isoformat(), int(counts[c, t])])
+        assert path.read_bytes() == want.getvalue().encode("utf-8")
+        loaded, _ = load_panel(path)
+        stripped = sorted((region.strip(), row) for region, row in zip(ids, counts.tolist()))
+        assert loaded.region_ids == tuple(region for region, _ in stripped)
+        assert loaded.dates == dates
+        assert loaded.counts.tolist() == [row for _, row in stripped]
 
     def test_total_cases_preserved(self, tmp_path):
         path = write_csv(

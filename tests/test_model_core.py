@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from countyrt import (
     GammaPosterior,
@@ -15,6 +15,7 @@ from countyrt import (
     compute_lambda,
     compute_phi,
     gamma_quantile,
+    gamma_quantiles,
     naive_r_hat,
     negbin_logpmf,
     posterior,
@@ -342,11 +343,34 @@ class TestGammaQuantile:
         vals = [gamma_quantile(post, q) for q in qs]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
+    def test_array_form_equals_elementwise_inverse(self):
+        """Shapes repeated across a (D, K) array, as a + i_c repeats them
+        on a fitted day, and all-distinct ones: every cell equals the
+        elementwise ``gammaincinv`` call."""
+        rng = np.random.default_rng(24)
+        probs = np.array([0.05, 0.5, 0.95])
+        a = rng.uniform(0.5, 40.0, size=(30, 1))
+        repeated = a + rng.integers(0, 12, size=(30, 200))
+        distinct = rng.uniform(0.5, 60.0, size=(5, 40))
+        assert np.unique(repeated).size <= 360 and np.unique(distinct).size == distinct.size
+        for shape in (repeated, distinct):
+            scale = rng.uniform(0.01, 2.0, size=shape.shape)
+            got = gamma_quantiles(shape, scale, probs)
+            assert got.shape == shape.shape + probs.shape
+            assert (got == special.gammaincinv(shape[..., None], probs) * scale[..., None]).all()
+        scalar = gamma_quantiles(np.float64(3.5), 0.7, probs)
+        assert scalar.shape == probs.shape
+        assert (scalar == special.gammaincinv(3.5, probs) * 0.7).all()
+
     def test_domain(self):
         with pytest.raises(ValueError):
             gamma_quantile(GammaPosterior(1.0, 1.0), 0.0)
         with pytest.raises(ValueError):
             gamma_quantile(GammaPosterior(1.0, 1.0), 1.0)
+
+
+# whole-number floats that an int64 cast would wrap
+OUTSIDE_INT64 = [1e19, 2.0**63, -1e19]
 
 
 class TestIncidencePanel:
@@ -368,12 +392,13 @@ class TestIncidencePanel:
         with pytest.raises(ValueError):
             IncidencePanel(("a", "b"), dates, np.array([[1], [-1]]))
 
-    @pytest.mark.parametrize("bad", [2.5, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [2.5, math.nan, math.inf, -math.inf, *OUTSIDE_INT64])
     def test_rejects_non_integer_counts(self, bad):
         dates = (datetime.date(2020, 3, 1),)
+        message = "fit in int64" if bad in OUTSIDE_INT64 else "be integers"
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(ValueError, match="^counts must be integers$"):
+            with pytest.raises(ValueError, match=f"^counts must {message}$"):
                 IncidencePanel(("a", "b"), dates, np.array([[1.0], [bad]]))
             panel = IncidencePanel(("a", "b"), dates, np.array([[1.0], [3.0]]))
         assert panel.counts.dtype == np.int64 and panel.counts.tolist() == [[1], [3]]
