@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .inference import CountyPosteriors, DayFit, FitConfig, county_estimates, fit_panel
-from .ingest import PanelFormatError, csv_field, load_panel, write_panel
+from .ingest import PanelFormatError, csv_field, load_panel, write_csv, write_panel
 from .model import GenerationTimePmf, naive_series, trapezoid_pmf
 from .simulator import SimConfig, simulate
 
@@ -161,15 +161,6 @@ def _fmt(x) -> str:
     return "" if x is None else f"{x:.10g}"
 
 
-def _write_csv(path: Path, header: list, rows) -> None:
-    """Write ``header`` and ``rows`` with ``csv.writer``, creating the directory."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _report_shift(opts: dict, panel) -> datetime.timedelta:
     """The --backdate-days shift to infection dates; a usage error before year 1."""
     days = opts["backdate_days"]
@@ -216,8 +207,8 @@ NAIVE_SPEC = {
 
 def _run_one_simulation(config: SimConfig, outdir: Path) -> None:
     result = simulate(config)
-    rows = ([day.isoformat(), _fmt(float(r))] for day, r in zip(result.truth_dates, result.true_r))
-    _write_csv(outdir / "truth.csv", ["date", "true_r"], rows)
+    rows = zip([day.isoformat() for day in result.truth_dates], result.true_r.tolist())
+    write_csv(outdir / "truth.csv", ("date", "true_r"), "%s,%.10g\r\n", [rows])
     write_panel(result.panel, outdir / "panel.csv")
 
 
@@ -258,38 +249,28 @@ def _parse_quantiles(spec: str) -> tuple:
     return probs, names
 
 
-def _write_county_csv(
-    path, counties: CountyPosteriors, q_names: list, shift: datetime.timedelta
-) -> None:
-    """One row per (day, county), in the bytes ``csv.writer`` and ``_fmt`` give.
-
-    Each day's rows come from one ``%`` format over whole columns; numbers
-    use ``%.10g`` like ``_fmt``, and region ids are quoted once, not per row.
-    """
-    row = "%s,%s,%.10g,%d,%.10g" + ",%.10g" * len(q_names) + "\r\n"
+def _county_blocks(counties: CountyPosteriors, shift: datetime.timedelta):
+    """One block of ``county_estimates.csv`` rows per fitted day, in whole columns."""
     ids = [csv_field(r) for r in counties.region_ids]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(["date", "region_id", "lambda", "cases", "post_mean"] + q_names)
-        for d, day in enumerate(counties.dates):
-            columns = zip(
-                itertools.repeat((day - shift).isoformat()),
-                ids,
-                counties.lambda_c[d].tolist(),
-                counties.cases[d].tolist(),
-                counties.mean[d].tolist(),
-                *counties.quantiles[d].T.tolist(),
-            )
-            fh.write("".join(map(row.__mod__, columns)))
+    for d, day in enumerate(counties.dates):
+        yield zip(
+            itertools.repeat((day - shift).isoformat()),
+            ids,
+            counties.lambda_c[d].tolist(),
+            counties.cases[d].tolist(),
+            counties.mean[d].tolist(),
+            *counties.quantiles[d].T.tolist(),
+        )
 
 
-def _country_row(fit: DayFit, shift: datetime.timedelta) -> list:
+def _country_row(fit: DayFit, shift: datetime.timedelta) -> tuple:
     """One ``country_estimates.csv`` row; a skipped day leaves the numbers blank."""
     day, p = (fit.date - shift).isoformat(), fit.params
     if fit.skipped:
-        return [day, "", "", "", "", "", "", "", fit.skip_reason]
+        return (day, "", "", "", "", "", "", "", fit.skip_reason)
     lo, hi = fit.ci if fit.ci is not None else (None, None)
     numbers = [_fmt(x) for x in (p.a, p.s, p.p, fit.r_tilde, lo, hi)]
-    return [day, *numbers, "true" if p.converged else "false", ""]
+    return (day, *numbers, "true" if p.converged else "false", "")
 
 
 def cmd_fit(opts: dict) -> None:
@@ -306,8 +287,11 @@ def cmd_fit(opts: dict) -> None:
     counties = county_estimates(panel, w, fits, config)
     outdir = Path(opts["output_dir"])
     header = "date,a_hat,s_hat,p_hat,r_tilde,ci_lower,ci_upper,converged,skipped_reason".split(",")
-    _write_csv(outdir / "country_estimates.csv", header, (_country_row(f, shift) for f in fits))
-    _write_county_csv(outdir / "county_estimates.csv", counties, q_names, shift)
+    rows = [_country_row(f, shift) for f in fits]
+    write_csv(outdir / "country_estimates.csv", header, "%s," * 8 + "%s\r\n", [rows])
+    header = ["date", "region_id", "lambda", "cases", "post_mean", *q_names]
+    row_format = "%s,%s,%.10g,%d,%.10g" + ",%.10g" * len(q_names) + "\r\n"
+    write_csv(outdir / "county_estimates.csv", header, row_format, _county_blocks(counties, shift))
 
 
 def cmd_naive(opts: dict) -> None:
@@ -315,12 +299,10 @@ def cmd_naive(opts: dict) -> None:
     panel = _load_panel(opts["input"])
     shift = _report_shift(opts, panel)
     country, phi, r_hat = naive_series(panel, w)
-    rows = (
-        [(day - shift).isoformat(), int(country[t]), _fmt(phi[t]), _fmt(r_hat[t])]
-        for t, day in enumerate(panel.dates)
-    )
+    dates = [(day - shift).isoformat() for day in panel.dates]
+    rows = zip(dates, country.tolist(), map(_fmt, phi.tolist()), map(_fmt, r_hat))
     path = Path(opts["output_dir"]) / "naive_estimates.csv"
-    _write_csv(path, ["date", "i_t", "phi_t", "r_hat"], rows)
+    write_csv(path, ("date", "i_t", "phi_t", "r_hat"), "%s,%d,%s,%s\r\n", [rows])
 
 
 def build_parser() -> _Parser:

@@ -5,6 +5,9 @@ dates, UTF-8. Foreign schemas are handled by remapping column names.
 Rows are aggregated by (region, date), gaps are zero-filled so the panel
 is contiguous, and regions are sorted by id for determinism. The file is
 read in one streaming pass over its rows.
+
+``write_csv`` also writes every CSV the CLI produces, so the output
+dialect is decided here, next to the reader.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import datetime
 import io
 import itertools
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -142,19 +146,27 @@ def csv_field(value: str) -> str:
     return buf.getvalue()[: -len(",\r\n")]
 
 
-def write_panel(panel: IncidencePanel, path) -> None:
-    """Write the canonical long CSV (region-major, then date).
+def write_csv(path, header, row_format: str, blocks) -> None:
+    """Write ``header`` and each block of rows to ``path``, creating its directory.
 
-    The bytes are those ``csv.writer`` gives, one row at a time. Each
-    region's rows come from one ``%`` format, with the ISO dates and the
-    quoted region id computed once.
+    The bytes are ``csv.writer``'s: commas, ``"\r\n"`` line ends, a field quoted
+    only where it must be. Each row is ``row_format % row``, so a caller quotes its
+    string fields with ``csv_field``; each block (an iterable of rows) is one write.
     """
-    days = [day.isoformat() for day in panel.dates]
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(["region_id", "date", "cases"])
-        for region, counts in zip(panel.region_ids, panel.counts.tolist()):
-            rows = zip(itertools.repeat(csv_field(region)), days, counts)
-            fh.write("".join(map("%s,%s,%d\r\n".__mod__, rows)))
+        fh.write(",".join(map(csv_field, header)) + "\r\n")
+        fh.writelines("".join(map(row_format.__mod__, rows)) for rows in blocks)
+
+
+def write_panel(panel: IncidencePanel, path) -> None:
+    """Write the canonical long CSV (region-major, then date), one block per region."""
+    days = [day.isoformat() for day in panel.dates]
+    blocks = (
+        zip(itertools.repeat(csv_field(region)), days, counts)
+        for region, counts in zip(panel.region_ids, panel.counts.tolist())
+    )
+    write_csv(path, ("region_id", "date", "cases"), "%s,%s,%d\r\n", blocks)
 
 
 def aggregate_country(panel: IncidencePanel) -> IncidencePanel:

@@ -98,11 +98,14 @@ class IncidencePanel:
         ids = tuple(str(r) for r in self.region_ids)
         dates = tuple(self.dates)
         counts = np.asarray(self.counts)
+        # the range checks come before the cast, which would wrap them
         if not np.issubdtype(counts.dtype, np.integer):
             if not np.all(np.isfinite(counts) & (counts == np.floor(counts))):
                 raise ValueError("counts must be integers")
-            # checked before the cast, which would wrap them
             if not np.all((-(2.0**63) <= counts) & (counts < 2.0**63)):
+                raise ValueError("counts must fit in int64")
+        elif counts.dtype.kind == "u" and counts.size:
+            if int(counts.max()) > np.iinfo(np.int64).max:
                 raise ValueError("counts must fit in int64")
         counts = counts.astype(np.int64)
         counts.flags.writeable = False

@@ -59,10 +59,12 @@ class SimConfig:
             raise ValueError("county_r_scale must be positive and finite")
         # offsets of the first burn-in date and the last simulated date
         first, last = 1 - self.w.support_end, sum(dur for dur, _ in self.schedule)
-        if last - first > (datetime.date.max - datetime.date.min).days:
+        span = (datetime.date.max - datetime.date.min).days
+        if last - first > span:  # the burn-in is to blame if it leaves no room for day 1
+            w_end = self.w.support_end
+            cause = f"generation time of {w_end}" if w_end > span else f"schedule of {last}"
             raise ValueError(
-                f"a schedule of {last} days puts simulated dates outside years 1-9999"
-                " from any start_date"
+                f"a {cause} days puts simulated dates outside years 1-9999 from any start_date"
             )
         try:
             for days in (first, last):

@@ -11,12 +11,15 @@ from countyrt.cli import (
     FIT_SPEC,
     NAIVE_SPEC,
     SIMULATE_SPEC,
+    _parse_quantiles,
     main,
     parse_gen_time,
     parse_schedule,
 )
+from countyrt.inference import FitConfig
 from countyrt.ingest import load_panel, write_panel
 from countyrt.model import IncidencePanel
+from countyrt.simulator import SimConfig, default_generation_time, simulate
 
 SIM_ARGS = [
     "simulate",
@@ -362,6 +365,36 @@ def test_out_of_range_simulate_values_are_usage_errors(flag, value, message, tmp
     assert not out.exists()
 
 
+def test_generation_time_longer_than_the_calendar_is_a_usage_error(tmp_path, capsys):
+    # only the config is built: simulate never runs with this support
+    path = tmp_path / "w.csv"
+    path.write_text("4000000,1\n")
+    out = tmp_path / "sim"
+    assert main(["simulate", "--output-dir", str(out), "--gen-time", f"weights:{path}"]) == 1
+    message = "a generation time of 4000000 days puts simulated dates outside years 1-9999"
+    assert f"countyrt: error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_defaults_are_the_library_defaults(tmp_path):
+    out = tmp_path / "cli"
+    assert main(["simulate", "--output-dir", str(out)]) == 0
+    result = simulate(SimConfig())
+    write_panel(result.panel, tmp_path / "library.csv")
+    assert (out / "panel.csv").read_bytes() == (tmp_path / "library.csv").read_bytes()
+    assert [float(r["true_r"]) for r in read_rows(out / "truth.csv")] == result.true_r.tolist()
+
+
+def test_fit_defaults_are_the_library_defaults():
+    default = default_generation_time()
+    for spec in (SIMULATE_SPEC, FIT_SPEC, NAIVE_SPEC):
+        w = parse_gen_time(spec["gen_time"][1])
+        assert w.support_start == default.support_start
+        assert w.weights.tolist() == default.weights.tolist()
+    assert FIT_SPEC["level"][1] == FitConfig().level
+    assert _parse_quantiles(FIT_SPEC["quantiles"][1])[0] == FitConfig().quantile_probs
+
+
 @pytest.mark.parametrize("command", ["fit", "naive"])
 def test_negative_backdate_days_is_a_usage_error(command, sim_dir, tmp_path, capsys):
     out = tmp_path / "out"
@@ -445,6 +478,43 @@ def test_region_ids_that_need_quoting_round_trip(tmp_path):
         expected = io.StringIO()
         csv.writer(expected).writerows(csv.reader(fh))
     assert text == expected.getvalue()
+
+
+@pytest.fixture(scope="module")
+def cli_csvs(tmp_path_factory):
+    """Every CSV the CLI writes; fit and naive read a panel whose ids need quoting.
+
+    The fit's directory is two levels below one that does not exist yet.
+    """
+    root = tmp_path_factory.mktemp("dialect")
+    assert main(SIM_ARGS + ["--output-dir", str(root / "sim")]) == 0
+    ids = ("Lake, County", 'St. "Mary"', 'both, "of" them', "plain")
+    counts = np.random.default_rng(5).integers(1, 30, size=(len(ids), 14))
+    dates = tuple(datetime.date(2020, 3, 1) + datetime.timedelta(days=t) for t in range(14))
+    write_panel(IncidencePanel(ids, dates, counts), root / "quoted.csv")
+    for command, out in (("fit", "new/nested/fit"), ("naive", "naive")):
+        rc = main([command, "--input", str(root / "quoted.csv"), "--output-dir", str(root / out)])
+        assert rc == 0
+    assert '"Lake, County"' in (root / "new/nested/fit/county_estimates.csv").read_text()
+    return root
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "sim/panel.csv",
+        "sim/truth.csv",
+        "new/nested/fit/country_estimates.csv",
+        "new/nested/fit/county_estimates.csv",
+        "naive/naive_estimates.csv",
+    ],
+)
+def test_every_output_csv_is_in_the_csv_writer_dialect(name, cli_csvs):
+    path = cli_csvs / name
+    with open(path, newline="", encoding="utf-8") as fh:
+        rewritten = io.StringIO(newline="")
+        csv.writer(rewritten).writerows(csv.reader(fh))
+    assert path.read_bytes() == rewritten.getvalue().encode("utf-8")
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ import io
 import numpy as np
 import pytest
 
-from countyrt import aggregate_country, load_panel, write_panel
+from countyrt import aggregate_country, ingest, load_panel, write_panel
 from countyrt.ingest import PanelFormatError
 from countyrt.model import IncidencePanel
 
@@ -242,6 +242,15 @@ class TestRoundTrip:
         assert loaded.region_ids == tuple(region for region, _ in stripped)
         assert loaded.dates == dates
         assert loaded.counts.tolist() == [row for _, row in stripped]
+
+    def test_write_csv_quotes_the_header_and_creates_the_directory(self, tmp_path):
+        path = tmp_path / "new" / "dir" / "out.csv"
+        header = ("id", 'say "hi"', "a,b")
+        blocks = [[("x", 1, 2.5)], [], [(ingest.csv_field("y,z"), 2, 0.1), ("w", 3, 1e20)]]
+        ingest.write_csv(path, header, "%s,%d,%.10g\r\n", blocks)
+        want = io.StringIO(newline="")
+        csv.writer(want).writerows([header, ["x", 1, 2.5], ["y,z", 2, 0.1], ["w", 3, "1e+20"]])
+        assert path.read_bytes() == want.getvalue().encode("utf-8")
 
     def test_total_cases_preserved(self, tmp_path):
         path = write_csv(

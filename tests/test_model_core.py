@@ -402,3 +402,15 @@ class TestIncidencePanel:
                 IncidencePanel(("a", "b"), dates, np.array([[1.0], [bad]]))
             panel = IncidencePanel(("a", "b"), dates, np.array([[1.0], [3.0]]))
         assert panel.counts.dtype == np.int64 and panel.counts.tolist() == [[1], [3]]
+
+    @pytest.mark.parametrize("bad", [2**63, 2**64 - 1])
+    def test_rejects_unsigned_counts_outside_int64(self, bad):
+        dates = (datetime.date(2020, 3, 1),)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="^counts must fit in int64$"):
+                IncidencePanel(("a", "b"), dates, np.array([[1], [bad]], dtype=np.uint64))
+            top = IncidencePanel(("a", "b"), dates, np.array([[1], [2**63 - 1]], dtype=np.uint64))
+            panel = IncidencePanel(("a", "b"), dates, np.array([[1], [3]], dtype=np.uint64))
+        assert top.counts.tolist() == [[1], [2**63 - 1]]
+        assert panel.counts.dtype == np.int64 and panel.counts.tolist() == [[1], [3]]

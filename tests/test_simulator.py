@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from countyrt import (
+    GenerationTimePmf,
     SimConfig,
     calibrate_sigma,
     cross_county_fraction,
@@ -119,6 +120,17 @@ class TestSimulate:
         for days in (longest + 1, 10**9):
             with pytest.raises(ValueError, match=f"^a schedule of {days} days puts simulated"):
                 SimConfig(schedule=((days, 1.2),))
+        # a burn-in longer than years 1-9999 less one day fits no schedule; only the
+        # config is built, since simulating a support this long is out of reach
+        span = (last - datetime.date.min).days
+        one_day = dict(schedule=((1, 1.2),), start_date=last - datetime.timedelta(days=1))
+        SimConfig(w=GenerationTimePmf(span, np.array([1.0])), **one_day)
+        for days in (span + 1, 4_000_000):
+            w = GenerationTimePmf(days, np.array([1.0]))
+            with pytest.raises(ValueError, match=f"^a generation time of {days} days puts"):
+                SimConfig(w=w, **one_day)
+            with pytest.raises(ValueError, match=f"^a generation time of {days} days puts"):
+                SimConfig(w=w)
 
 
 class TestCrossCountyFraction:
