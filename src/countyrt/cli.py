@@ -5,7 +5,8 @@ options, so a run can be reproduced exactly. Each command's ``*_SPEC``
 table (key -> converter, default) is the one list of its options: the
 parser's flags and the config keys come from it. A simple key=value config
 file can supply any long option but --input, --output-dir and --config;
-an unknown key is an error, and explicit flags win.
+an unknown or repeated key is an error, and explicit flags win. Input
+files are UTF-8, with or without a byte-order mark.
 
 Exit codes: 0 success, 1 usage error, 2 IO/parse error, 3 internal
 numeric failure that prevented any output.
@@ -60,7 +61,7 @@ def parse_gen_time(spec: str) -> GenerationTimePmf:
             raise UsageError(f"bad trapezoid spec {spec!r}: {exc}") from None
     if kind == "weights":
         rows = []
-        with open(rest, newline="", encoding="utf-8") as fh:
+        with open(rest, newline="", encoding="utf-8-sig") as fh:
             for lineno, row in enumerate(csv.reader(fh), start=1):
                 if not row or row[0].strip().lower() == "tau":
                     continue
@@ -101,9 +102,10 @@ def parse_schedule(spec: str) -> tuple:
 
 
 def _read_config(path, spec: dict) -> dict:
-    """The key=value lines of a config file; a key not in ``spec`` is an error."""
+    """The key=value lines of a config file; a key not in ``spec``, or given
+    twice, is an error."""
     cfg = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -114,6 +116,8 @@ def _read_config(path, spec: dict) -> dict:
             key = name.strip().replace("-", "_")
             if key not in spec:
                 raise PanelFormatError(f"{path}:{lineno}: unknown option {name.strip()!r}")
+            if key in cfg:
+                raise PanelFormatError(f"{path}:{lineno}: option {name.strip()!r} is given twice")
             cfg[key] = value.strip()
     return cfg
 

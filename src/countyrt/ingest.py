@@ -1,10 +1,11 @@
 """Loading, validation, and country aggregation of case-count CSVs.
 
 Canonical format: long CSV with header ``region_id,date,cases``, ISO
-dates, UTF-8. Foreign schemas are handled by remapping column names.
-Rows are aggregated by (region, date), gaps are zero-filled so the panel
-is contiguous, and regions are sorted by id for determinism. The file is
-read in one streaming pass over its rows.
+dates, UTF-8 with or without a byte-order mark. Foreign schemas are
+handled by remapping column names. Rows are aggregated by (region, date),
+gaps are zero-filled so the panel is contiguous, and regions are sorted
+by id for determinism. The file is read in one streaming pass over its
+rows.
 
 ``write_csv`` also writes every CSV the CLI produces, so the output
 dialect is decided here, next to the reader.
@@ -63,7 +64,7 @@ def load_panel(
     ids: dict = {}  # stripped region id -> index, in order of first appearance
     region_of, day_of, count_of = {}, {}, {}  # raw field -> index, date ordinal, count
     row_region, row_day, row_cases = [], [], []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         try:
             header = next(reader)

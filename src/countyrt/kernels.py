@@ -5,16 +5,15 @@ copies of those formulas; ``countyrt.model`` checks arguments and calls them.
 
 ``day_negloglik`` is evaluated hundreds of times per fitted day inside the
 simplex search, so it is the one hot kernel. Most of its work is the NB
-coefficient lgamma(a+i) - lgamma(a) - lgamma(i+1): the log rising
-factorial, in one of two regimes that ``_rising`` picks once per day's
-counts, less the count's log-factorial, which is folded into it.
+coefficient lgamma(a+i) - lgamma(a) - lgamma(i+1). ``nb_coefficient`` is
+its only builder: it picks one of two regimes once per set of counts and
+folds the count's log-factorial into the log rising factorial.
 
 The rest of what the kernel reads does not depend on (a, s, p):
 ``DayConstants`` holds it for one day's (counts, Phi). That is the
 transfer's sum(Phi) - Phi and the day's NB coefficient as a function of
-a. In the table regime the log-factorial is taken off the table of at
-most 65 entries before the gather, not off every region. The caller
-builds the constants once per day and passes them to every evaluation.
+a. The caller builds the constants once per day and passes them to
+every evaluation.
 
 The kernel's domain is every region's mean s * Lambda_c positive, and it
 makes no check. The fit keeps it there: a day whose Phi is 0 everywhere
@@ -63,28 +62,25 @@ def _large_count_rising(a: float, counts: np.ndarray) -> np.ndarray:
     )
 
 
-def _rising(counts: np.ndarray, log_factorial: bool = False):
-    """a -> lgamma(a + i) - lgamma(a) for each count i, the regime chosen once.
+def nb_coefficient(counts: np.ndarray):
+    """a -> lgamma(a + i) - lgamma(a) - lgamma(i + 1) for each count i, the
+    regime chosen once.
 
-    - largest count at most 64: a cumulative log-product table, accurate
-      at every shape a and cheapest when the table is short;
+    - largest count at most 64: a cumulative log-product table with the
+      log-factorial taken off its at most 65 entries before the gather,
+      accurate at every shape a and cheapest when the table is short;
     - larger counts: an O(1) form per region, so the cost no longer grows
       with the largest count. For a >= 10 it is Stirling's series written
       with log1p, which stays accurate up to the a ~ e^30 Poisson ridge;
       below that the plain gammaln difference has no cancellation to lose.
-
-    With ``log_factorial`` the function gives the NB coefficient
-    lgamma(a + i) - lgamma(a) - lgamma(i + 1): the table regime takes
-    lgamma(i + 1) off its entries before the gather, the O(1) regime off
-    each region. Without it, 0.0 is taken off, which keeps every bit.
     """
     imax = int(counts.max(initial=0.0))
     if imax > _TABLE_I_MAX:
-        lf = special.gammaln(counts + 1.0) if log_factorial else 0.0
+        lf = special.gammaln(counts + 1.0)
         return lambda a: _large_count_rising(a, counts) - lf
     steps = np.arange(-1.0, imax)
     index = counts.astype(np.int64)
-    lf = special.gammaln(np.arange(imax + 1.0) + 1.0) if log_factorial else 0.0
+    lf = special.gammaln(np.arange(imax + 1.0) + 1.0)
 
     def table(a):
         # entry i is log(a) + ... + log(a+i-1); the first input is 1, so entry 0 is 0
@@ -93,11 +89,6 @@ def _rising(counts: np.ndarray, log_factorial: bool = False):
         return (np.log(x).cumsum() - lf)[index]
 
     return table
-
-
-def log_rising_factorial(a: float, counts: np.ndarray) -> np.ndarray:
-    """lgamma(a + i) - lgamma(a) for each non-negative integer i in counts."""
-    return _rising(np.asarray(counts, dtype=np.float64))(a)
 
 
 def _others(phi):
@@ -118,7 +109,7 @@ def transfer(phi, p, others=None):
 def log_nb_terms(a, counts, m, coefficient):
     """log NB(i; a, m) for positive m: the NB coefficient
     lgamma(a + i) - lgamma(a) - lgamma(i + 1) of each count, as
-    ``DayConstants.coefficient(a)`` gives it, and the two mean terms.
+    ``nb_coefficient(counts)(a)`` gives it, and the two mean terms.
     """
     return coefficient + counts * np.log(m / (1.0 + m)) - a * np.log1p(m)
 
@@ -128,16 +119,15 @@ class DayConstants:
     not depend on (a, s, p).
 
     ``others`` is sum(Phi) - Phi, and ``coefficient`` the function
-    a -> lgamma(a + i) - lgamma(a) - lgamma(i + 1) over the counts: for
-    counts up to 64, a gather from one table of at most 65 entries with
-    the log-factorial already taken off.
+    a -> lgamma(a + i) - lgamma(a) - lgamma(i + 1) over the counts, from
+    ``nb_coefficient``.
     """
 
     __slots__ = ("others", "coefficient")
 
     def __init__(self, counts, phi):
         self.others = _others(np.asarray(phi, dtype=np.float64))
-        self.coefficient = _rising(np.asarray(counts, dtype=np.float64), log_factorial=True)
+        self.coefficient = nb_coefficient(np.asarray(counts, dtype=np.float64))
 
 
 def day_negloglik(counts, phi, a, s, p, constants):

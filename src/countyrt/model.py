@@ -217,7 +217,7 @@ def negbin_logpmf(i: int, a: float, m: float) -> float:
         raise ValueError(f"mean parameter must be nonnegative, got {m}")
     if m == 0.0:
         return 0.0 if i == 0 else -math.inf
-    coefficient = kernels.log_rising_factorial(a, float(i)) - special.gammaln(i + 1.0)
+    coefficient = kernels.nb_coefficient(np.float64(i))(a)
     return float(kernels.log_nb_terms(a, float(i), m, coefficient))
 
 

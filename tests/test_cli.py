@@ -12,6 +12,8 @@ from countyrt.cli import (
     NAIVE_SPEC,
     SIMULATE_SPEC,
     _parse_quantiles,
+    _resolve,
+    build_parser,
     main,
     parse_gen_time,
     parse_schedule,
@@ -228,6 +230,26 @@ class TestFitAndNaive:
         assert rc == 2
         assert f"{cfg}:3: unknown option 'sead'" in capsys.readouterr().err
         assert not (out / "panel.csv").exists()
+
+    def test_repeated_config_key_is_an_error(self, sim_dir, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("backdate_days=3\nbackdate-days=5\n")
+        out = tmp_path / "fit"
+        args = ["--input", str(sim_dir / "panel.csv"), "--output-dir", str(out)]
+        rc = main(["fit", *args, "--config", str(cfg)])
+        assert rc == 2
+        assert f"{cfg}:2: option 'backdate-days' is given twice" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_byte_order_mark_in_config_is_accepted(self, tmp_path):
+        plain = tmp_path / "run.cfg"
+        plain.write_text("backdate_days = 3\n# comment\nlevel=0.9\n")
+        marked = tmp_path / "bom.cfg"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        args = ["fit", "--input", "in.csv", "--output-dir", "out", "--config"]
+        want, got = (_resolve(build_parser().parse_args([*args, str(c)])) for c in (plain, marked))
+        assert got == want
+        assert want["backdate_days"] == 3 and want["level"] == 0.9
 
 
 class TestExitCodes:
@@ -564,6 +586,14 @@ class TestSpecParsers:
         w = parse_gen_time(f"weights:{path}")
         assert w.support_start == 2
         np.testing.assert_allclose(w.weights, [0.25, 0.5, 0.25])
+
+    def test_gen_time_weights_file_with_byte_order_mark(self, tmp_path):
+        plain, marked = tmp_path / "w.csv", tmp_path / "bom.csv"
+        plain.write_text("tau,weight\n2,1\n3,2\n4,1\n")
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        want, got = parse_gen_time(f"weights:{plain}"), parse_gen_time(f"weights:{marked}")
+        assert got.support_start == want.support_start
+        assert got.weights.tolist() == want.weights.tolist()
 
     def test_gen_time_unknown_kind(self):
         from countyrt.cli import UsageError

@@ -252,6 +252,24 @@ class TestRoundTrip:
         csv.writer(want).writerows([header, ["x", 1, 2.5], ["y,z", 2, 0.1], ["w", 3, "1e+20"]])
         assert path.read_bytes() == want.getvalue().encode("utf-8")
 
+    def test_byte_order_mark_is_accepted(self, tmp_path):
+        text = (
+            "region_id,date,cases\n"
+            "b,2020-03-02,4\n"
+            "a,2020-03-01,1\n"
+            "a,2020-03-01,-2\n"
+            "b,2020-03-01,0\n"
+        )
+        plain = write_csv(tmp_path, text)
+        marked = tmp_path / "bom.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        (panel, report), (bom_panel, bom_report) = load_panel(plain), load_panel(marked)
+        assert bom_report == report and report.warnings
+        assert (bom_panel.region_ids, bom_panel.dates) == (panel.region_ids, panel.dates)
+        assert bom_panel.counts.tolist() == panel.counts.tolist()
+        write_panel(bom_panel, tmp_path / "out.csv")  # written without a mark
+        assert not (tmp_path / "out.csv").read_bytes().startswith(b"\xef\xbb\xbf")
+
     def test_total_cases_preserved(self, tmp_path):
         path = write_csv(
             tmp_path,

@@ -123,14 +123,17 @@ RISING_COUNTS = [0, 1, 2, 5, 63, 64, 65, 100, 1_000, 12_345, 100_000, 1_000_000,
 
 
 @pytest.mark.parametrize("a", [1.0, 9.999, 10.0, 1e4, 1e8, 1e13])
-def test_log_rising_factorial_matches_mpmath(a):
-    pytest.importorskip("mpmath")
+def test_nb_coefficient_matches_mpmath(a):
+    mpmath = pytest.importorskip("mpmath")
     # a small-count array takes the table, a large-count one the O(1) form
     for counts in (RISING_COUNTS[:6], RISING_COUNTS):
-        got = kernels.log_rising_factorial(a, np.array(counts, dtype=float))
+        got = kernels.nb_coefficient(np.array(counts, dtype=float))(a)
         for g, i in zip(got, counts):
-            ref = float(mp_log_rising(a, i))
-            assert abs(g - ref) <= 1e-14 * max(abs(ref), 1.0), (a, i)
+            rising = mp_log_rising(a, i)
+            with mpmath.workdps(60):
+                ref = float(rising - mpmath.loggamma(i + 1))
+            # a >= 1 makes the rising factorial at least lgamma(i + 1)
+            assert abs(g - ref) <= 1e-14 * max(abs(float(rising)), 1.0), (a, i)
 
 
 def mp_negloglik(counts, phi, a, s, p):
@@ -178,6 +181,16 @@ def kernel_constant_days():
     return {"table": table, "large-counts": large}
 
 
+def unfolded_rising(a, counts):
+    """lgamma(a + i) - lgamma(a) per count in the kernel's regime for the day:
+    a cumulative sum of log(a + j) after a leading 0 up to count 64, the
+    O(1) form above that."""
+    if counts.max() > 64:
+        return kernels._large_count_rising(a, counts)
+    table = np.concatenate(([0.0], np.log(a + np.arange(counts.max()))))
+    return table.cumsum()[counts.astype(np.int64)]
+
+
 def masked_negloglik(counts, phi, a, s, p):
     """The kernel's sum with every term, lgamma(i + 1) and the rising
     factorial included, computed inline per call."""
@@ -185,7 +198,7 @@ def masked_negloglik(counts, phi, a, s, p):
     lam = (1.0 - p) * phi + p * (phi.sum() - phi) / (K - 1.0)
     m = s * lam
     ll = (
-        kernels.log_rising_factorial(a, counts)
+        unfolded_rising(a, counts)
         - special.gammaln(counts + 1.0)
         + counts * np.log(m / (1.0 + m))
         - a * np.log1p(m)
@@ -201,6 +214,23 @@ def test_day_constants_are_bit_identical(day):
         for s in (0.02, 1.3, 40.0 / a):
             with_constants = kernels.day_negloglik(counts, phi, a, s, p, constants)
             assert with_constants == masked_negloglik(counts, phi, a, s, p), (a, s)
+
+
+@pytest.mark.parametrize("day", ["table", "large-counts"])
+def test_negbin_logpmf_is_the_kernel_term(day):
+    """The checked single-count pmf gives the kernel's term bit for bit
+    wherever the single count takes the day's regime."""
+    counts, phi, p = kernel_constant_days()[day]
+    coefficient = kernels.DayConstants(counts, phi).coefficient
+    regions = np.flatnonzero(counts > 64) if day == "large-counts" else range(len(counts))
+    assert len(regions) > 0
+    for a in (0.7, 12.0, 3e5, 1e13):
+        m = 1.3 / a * kernels.transfer(phi, p)
+        terms = kernels.log_nb_terms(a, counts, m, coefficient(a))
+        for c in regions:
+            assert negbin_logpmf(int(counts[c]), a, m[c]) == terms[c], (a, c)
+        assert negbin_logpmf(0, a, 0.0) == 0.0
+        assert negbin_logpmf(int(counts.max()), a, 0.0) == -math.inf
 
 
 # p at the search's clamp edges, 1 / (1 + e^30) from 0 or 1
