@@ -208,6 +208,8 @@ def r_tilde_ci(params: DayParams, level: float = 0.95):
     Returns None when no covariance is available or the propagated
     variance is negative (non-PSD covariance).
     """
+    if not 0.0 < level < 1.0:
+        raise ValueError("confidence level must be in (0, 1)")
     if params.cov is None:
         return None
     a, s, cov = params.a, params.s, params.cov
@@ -220,10 +222,16 @@ def r_tilde_ci(params: DayParams, level: float = 0.95):
     return (max(0.0, r - half), r + half)
 
 
-def _make_day_fit(date, counts, phi, config: FitConfig) -> DayFit:
-    # without cases the likelihood grows as a*s -> 0 and the fit ends at the clamps
+def _day_fit(panel: IncidencePanel, w: GenerationTimePmf, t: int, phi, config) -> DayFit:
+    """Day t of ``fit_panel``, given that day's Phi."""
+    if panel.n_regions < 2:
+        raise ValueError("fitting requires at least 2 regions")
+    date, counts = panel.dates[t], panel.counts[:, t]
+    if t < w.support_end:
+        return DayFit(date, skip_reason="burn-in")
     if phi.sum() <= 0:
         return DayFit(date, skip_reason="zero-phi")
+    # without cases the likelihood grows as a*s -> 0 and the fit ends at the clamps
     if not counts.any():
         return DayFit(date, skip_reason="no-cases")
     params = _fit_counts_phi(counts, phi)
@@ -237,17 +245,8 @@ def fit_day(
     t: int,
     config: FitConfig | None = None,
 ) -> DayFit:
-    """Fit one day's (a, s, p) by maximum likelihood.
-
-    A day whose Phi vanishes everywhere is returned skipped as ``zero-phi``,
-    and a day without cases as ``no-cases``; an optimizer that fails to
-    converge still yields parameters with converged=False.
-    """
-    config = config or FitConfig()
-    if panel.n_regions < 2:
-        raise ValueError("fitting requires at least 2 regions")
-    phi = compute_phi(panel, w, t)
-    return _make_day_fit(panel.dates[t], panel.counts[:, t], phi, config)
+    """``fit_panel(panel, w, config)[t]``, computing only day t's Phi."""
+    return _day_fit(panel, w, t, compute_phi(panel, w, t), config or FitConfig())
 
 
 def fit_panel(
@@ -255,22 +254,22 @@ def fit_panel(
     w: GenerationTimePmf,
     config: FitConfig | None = None,
 ) -> list:
-    """One DayFit per panel day; the first ``w.support_end`` days are skipped.
+    """One DayFit per panel day, each fitted independently by maximum
+    likelihood and kept at its report date.
 
-    They are the burn-in, whose Phi lacks part of the generation-time
-    support; the other days are skipped as ``fit_day`` skips them. Days
-    are fitted independently of each other, and keep their report dates.
+    A day is skipped, with ``params`` None, as
+    - ``burn-in``: one of the first ``w.support_end`` days, whose Phi
+      lacks part of the generation-time support;
+    - ``zero-phi``: Phi vanishes in every region;
+    - ``no-cases``: no region has a case that day.
+
+    Checked in that order; every other day is fitted, and an optimizer
+    that fails to converge still yields parameters with converged=False.
+    A panel of fewer than 2 regions raises ValueError.
     """
     config = config or FitConfig()
-    if panel.n_regions < 2:
-        raise ValueError("fitting requires at least 2 regions")
     phi = phi_matrix(panel, w)
-    return [
-        DayFit(date, skip_reason="burn-in")
-        if t < w.support_end
-        else _make_day_fit(date, panel.counts[:, t], phi[:, t], config)
-        for t, date in enumerate(panel.dates)
-    ]
+    return [_day_fit(panel, w, t, phi[:, t], config) for t in range(panel.n_days)]
 
 
 def county_estimates(

@@ -23,6 +23,8 @@ from scipy import special
 
 from . import kernels
 
+_FLOAT_MAX = float(np.finfo(np.float64).max)
+
 
 @dataclass(frozen=True)
 class GenerationTimePmf:
@@ -180,6 +182,8 @@ def compute_lambda(phi: np.ndarray, p) -> np.ndarray:
     phi = np.asarray(phi, dtype=np.float64)
     if phi.shape[-1] < 2:
         raise ValueError("transfer redistribution requires at least 2 regions")
+    if not np.all((0 <= phi) & (phi < np.inf)):
+        raise ValueError("Phi must be finite and nonnegative")
     if not np.all((0 <= p) & (p <= 1)):
         raise ValueError(f"transfer fraction must be in [0, 1], got {p}")
     return kernels.transfer(phi, p)
@@ -209,12 +213,14 @@ def negbin_logpmf(i: int, a: float, m: float) -> float:
     m is the scaled Poisson divisor s * Lambda_c. For m = 0 the count is
     almost surely 0: returns 0.0 for i = 0 and -inf otherwise.
     """
-    if i < 0 or int(i) != i:
-        raise ValueError(f"count must be a nonnegative integer, got {i}")
-    if a <= 0:
-        raise ValueError(f"shape must be positive, got {a}")
-    if m < 0:
-        raise ValueError(f"mean parameter must be nonnegative, got {m}")
+    # NaN fails every check, and the count's bound comes before int() or
+    # float() could overflow
+    if not (0 <= i <= _FLOAT_MAX and int(i) == i):
+        raise ValueError(f"count must be a nonnegative integer within float range, got {i}")
+    if not 0 < a < math.inf:
+        raise ValueError(f"shape must be positive and finite, got {a}")
+    if not 0 <= m < math.inf:
+        raise ValueError(f"mean parameter must be nonnegative and finite, got {m}")
     if m == 0.0:
         return 0.0 if i == 0 else -math.inf
     coefficient = kernels.nb_coefficient(np.float64(i))(a)
@@ -229,7 +235,7 @@ class GammaPosterior:
     scale: float
 
     def __post_init__(self):
-        if self.shape <= 0 or self.scale <= 0:
+        if not (self.shape > 0 and self.scale > 0):  # NaN fails this too
             raise ValueError("shape and scale must be positive")
 
     @property

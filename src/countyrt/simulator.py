@@ -170,8 +170,8 @@ def cross_county_fraction(
 ) -> float:
     """Monte-Carlo probability that a Gaussian displacement from a uniform
     position inside a unit square of the torus lands in a different county."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not 0 < sigma < np.inf:
+        raise ValueError("sigma must be positive and finite")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
@@ -195,6 +195,8 @@ def calibrate_sigma(
     """
     if not 0.0 < target_fraction < 1.0:
         raise ValueError("target fraction must be in (0, 1)")
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     lo_s, hi_s = 1e-6, k / 2.0
     f_lo = cross_county_fraction(lo_s, samples, seed, k)
     f_hi = cross_county_fraction(hi_s, samples, seed, k)
@@ -204,6 +206,8 @@ def calibrate_sigma(
         )
     while hi_s - lo_s > tol:
         mid = (lo_s + hi_s) / 2.0
+        if not lo_s < mid < hi_s:  # tol is below the float spacing at sigma
+            break
         if cross_county_fraction(mid, samples, seed, k) < target_fraction:
             lo_s = mid
         else:

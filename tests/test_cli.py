@@ -231,6 +231,16 @@ class TestFitAndNaive:
         assert f"{cfg}:3: unknown option 'sead'" in capsys.readouterr().err
         assert not (out / "panel.csv").exists()
 
+    def test_config_line_without_equals_is_an_error(self, sim_dir, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# comment\n\nlevel 0.9\n")
+        out = tmp_path / "fit"
+        args = ["--input", str(sim_dir / "panel.csv"), "--output-dir", str(out)]
+        rc = main(["fit", *args, "--config", str(cfg)])
+        assert rc == 2
+        assert f"{cfg}:3: expected key=value" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_repeated_config_key_is_an_error(self, sim_dir, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("backdate_days=3\nbackdate-days=5\n")
@@ -548,8 +558,19 @@ def test_every_output_csv_is_in_the_csv_writer_dialect(name, cli_csvs):
         ("tau,weight\n0,1\n1,1\n", ": weight days must start at 1"),
         ("tau,weight\n1,0\n2,0\n", ": weights must be finite, nonnegative and not all zero"),
         ("tau,weight\n1,1\n1,2\n", ": weight day 1 is given twice"),
+        ("tau,weight\n\n", ": no weights found"),
+        ("tau,weight\n1,1\n3,1\n", ": weight days must be consecutive"),
     ],
-    ids=["not-a-number", "one-field", "negative", "tau-0", "all-zero", "repeated-tau"],
+    ids=[
+        "not-a-number",
+        "one-field",
+        "negative",
+        "tau-0",
+        "all-zero",
+        "repeated-tau",
+        "header-only",
+        "gap",
+    ],
 )
 def test_malformed_weights_file_is_a_parse_error(weights, message, sim_dir, tmp_path, capsys):
     path = tmp_path / "w.csv"

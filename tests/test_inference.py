@@ -1,5 +1,6 @@
 import datetime
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -332,6 +333,12 @@ class TestRTildeCi:
         assert hi - lo == pytest.approx(2 * half, rel=1e-5)
         assert (lo + hi) / 2 == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, math.nan])
+    def test_level_outside_unit_interval_rejected(self, level):
+        params = DayParams(2.0, 0.5, 0.1, np.zeros((3, 3)), True, 0.0)
+        with pytest.raises(ValueError, match=r"confidence level must be in \(0, 1\)"):
+            r_tilde_ci(params, level)
+
     def test_absent_covariance(self):
         params = DayParams(2.0, 0.5, 0.1, None, True, 0.0)
         assert r_tilde_ci(params, 0.95) is None
@@ -402,6 +409,59 @@ class TestFitPanel:
         assert len(params) == 4
         assert sum(p.evaluations for p in params) == kernel_calls[0]
         assert sum(p.iterations for p in params) == nm_iterations[0]
+
+
+def assert_same_day_fit(got, want):
+    assert (got.date, got.skip_reason, got.r_tilde, got.ci) == (
+        want.date,
+        want.skip_reason,
+        want.r_tilde,
+        want.ci,
+    )
+    if want.params is None:
+        assert got.params is None
+        return
+    for name in DayParams.__dataclass_fields__:
+        g, w = getattr(got.params, name), getattr(want.params, name)
+        assert np.array_equal(g, w) if name == "cov" else g == w, name
+
+
+class TestOneDayRule:
+    def test_fit_day_is_fit_panel_day(self):
+        counts = np.random.default_rng(31).integers(1, 20, size=(3, 22))
+        counts[:, 6:17] = 0  # days 10-15 have Phi but no cases, days 16-17 no Phi
+        panel = make_panel(counts)
+        fits = fit_panel(panel, W)
+        expected = ["burn-in"] * 10 + ["no-cases"] * 6 + ["zero-phi"] * 2 + [None] * 4
+        assert [f.skip_reason for f in fits] == expected
+        for t in range(panel.n_days):
+            assert_same_day_fit(fit_day(panel, W, t), fits[t])
+
+    def test_one_region_rejected_by_both_entry_points(self):
+        panel = make_panel(np.ones((1, 12), dtype=int))
+        with pytest.raises(ValueError, match="at least 2 regions"):
+            fit_panel(panel, W)
+        with pytest.raises(ValueError, match="at least 2 regions"):
+            fit_day(panel, W, 11)
+        # no day, so nothing to fit or reject
+        assert fit_panel(make_panel(np.ones((1, 0), dtype=int)), W) == []
+
+    def test_cases_only_where_phi_is_zero(self):
+        # only region 0 has a history, and only the others have cases: the
+        # moment start sees no case where Phi > 0 and falls back to s = 0.5
+        counts = np.zeros((3, 11), dtype=int)
+        counts[0, :10] = 8
+        counts[1:, 10] = [5, 9]
+        panel = make_panel(counts)
+        t = W.support_end
+        phi = compute_phi(panel, W, t)
+        start = inference._moment_start(panel.counts[:, t].astype(float), phi)
+        assert start[1] == math.log(0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_day(panel, W, t)
+        assert not fit.skipped
+        assert math.isfinite(fit.r_tilde) and fit.r_tilde > 0
 
 
 class TestCountyEstimates:

@@ -31,6 +31,16 @@ class TestLoadPanel:
         np.testing.assert_array_equal(panel.counts, [[1, 3], [2, 4]])
         assert report.rows_read == 4
 
+    def test_blank_rows_skipped(self, tmp_path):
+        path = write_csv(
+            tmp_path,
+            "region_id,date,cases\n\na,2020-03-01,1\n , ,\n,,\nb,2020-03-01,2\n\n",
+        )
+        panel, report = load_panel(path)
+        assert panel.region_ids == ("a", "b")
+        np.testing.assert_array_equal(panel.counts, [[1], [2]])
+        assert report.rows_read == 2
+
     def test_duplicates_summed(self, tmp_path):
         path = write_csv(
             tmp_path,

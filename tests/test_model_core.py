@@ -170,6 +170,11 @@ class TestComputeLambda:
         for d in range(6):
             assert np.array_equal(lam[d], compute_lambda(phi[d], float(p[d, 0])))
 
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_negative_or_non_finite_phi_rejected(self, bad):
+        with pytest.raises(ValueError, match="Phi must be finite and nonnegative"):
+            compute_lambda(np.array([bad, 2.0]), 0.5)
+
     @pytest.mark.parametrize("p", [-0.1, 1.5, math.nan])
     def test_fraction_outside_unit_interval_rejected(self, p):
         phi = np.ones((3, 4))
@@ -235,6 +240,23 @@ class TestNegbinLogpmf:
             negbin_logpmf(1, 0.0, 1.0)
         with pytest.raises(ValueError):
             negbin_logpmf(1, 1.0, -0.5)
+
+    @pytest.mark.parametrize(
+        "i, a, m",
+        [
+            (3, math.nan, 1.0),
+            (3, math.inf, 1.0),
+            (3, 2.0, math.nan),
+            (3, 2.0, math.inf),
+            (math.nan, 2.0, 1.0),
+            (math.inf, 2.0, 1.0),
+            (10**400, 2.0, 1.0),
+        ],
+        ids=["nan-a", "inf-a", "nan-m", "inf-m", "nan-i", "inf-i", "huge-i"],
+    )
+    def test_non_finite_arguments_rejected(self, i, a, m):
+        with pytest.raises(ValueError):
+            negbin_logpmf(i, a, m)
 
     def test_matches_quadrature(self):
         rng = np.random.default_rng(1)
@@ -309,6 +331,12 @@ class TestPosterior:
             m2, _ = integrate.quad(lambda r: r * r * density(r), 0, hi, **kw)
             assert post.mean == pytest.approx(m1 / z, rel=1e-6)
             assert post.variance == pytest.approx(m2 / z - (m1 / z) ** 2, rel=1e-6)
+
+
+@pytest.mark.parametrize("shape, scale", [(math.nan, 1.0), (1.0, math.nan), (0.0, 1.0)])
+def test_gamma_posterior_rejects_nonpositive_or_nan(shape, scale):
+    with pytest.raises(ValueError):
+        GammaPosterior(shape, scale)
 
 
 class TestGammaQuantile:

@@ -10,6 +10,7 @@ from countyrt import (
     calibrate_sigma,
     cross_county_fraction,
     simulate,
+    simulator,
     trapezoid_pmf,
 )
 from countyrt.simulator import default_generation_time
@@ -145,6 +146,11 @@ class TestCrossCountyFraction:
         frac = cross_county_fraction(10.0, samples=200000, seed=3, k=20)
         assert frac == pytest.approx(1 - 1 / 400, abs=0.01)
 
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
+    def test_sigma_outside_positive_finite_rejected(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            cross_county_fraction(sigma, samples=10)
+
     def test_monotone_in_sigma(self):
         vals = [
             cross_county_fraction(s, samples=100000, seed=4)
@@ -167,6 +173,31 @@ class TestCalibrateSigma:
         assert s1 == s2
         achieved = cross_county_fraction(s1, samples=400000, seed=8)
         assert achieved == pytest.approx(0.5, abs=0.01)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_nonpositive_tolerance_rejected(self, tol, monkeypatch):
+        def unreached(*args):
+            raise AssertionError("tol is checked before the first evaluation")
+
+        monkeypatch.setattr(simulator, "cross_county_fraction", unreached)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            calibrate_sigma(0.3, tol=tol, samples=10)
+
+    def test_tolerance_below_float_spacing_terminates(self, monkeypatch):
+        calls = []
+
+        def counted(sigma, *args):
+            calls.append(sigma)
+            assert len(calls) < 200, "bisection does not stop"
+            return fraction(sigma, *args)
+
+        fraction = simulator.cross_county_fraction
+        monkeypatch.setattr(simulator, "cross_county_fraction", counted)
+        sigma = calibrate_sigma(0.3, tol=1e-300, seed=10, samples=1000)
+        # the bracket has closed to adjacent floats around the answer
+        assert fraction(np.nextafter(sigma, 0.0), 1000, 10) < 0.3 <= fraction(
+            np.nextafter(sigma, np.inf), 1000, 10
+        )
 
     def test_unreachable_target(self):
         with pytest.raises(ValueError):
