@@ -128,16 +128,20 @@ def from_transformed(u) -> tuple:
 def _pinv_information(H: np.ndarray):
     """Pseudo-inverse of an observed information matrix, or None.
 
-    The caller passes H exactly symmetric, as ``numeric_hessian`` returns
-    it; ``eigh`` reads only its lower triangle. Directions whose
-    eigenvalue is at or below max(1e-10, 1e-9 * the largest) are treated
-    as constrained: their variance contribution is dropped, whether
-    rounding left that eigenvalue slightly positive or negative. On a well
-    conditioned matrix this is the inverse. Valid for the r_tilde delta
-    method because its gradient is orthogonal to the flat directions (the
-    a->inf Poisson ridge and an unidentified p both leave a*s fixed). None
-    when no eigenvalue is above the floor.
+    This is the one rule for a day without covariance: None when any entry
+    of H is not finite (checked on the whole matrix, since ``eigh`` reads
+    only the lower triangle), or when no eigenvalue is above
+    max(1e-10, 1e-9 * the largest). The caller passes H exactly symmetric,
+    as ``numeric_hessian`` returns it. Directions whose eigenvalue is at or
+    below that floor are treated as constrained: their variance
+    contribution is dropped, whether rounding left that eigenvalue slightly
+    positive or negative. On a well conditioned matrix this is the
+    inverse. Valid for the r_tilde delta method because its gradient is
+    orthogonal to the flat directions (the a->inf Poisson ridge and an
+    unidentified p both leave a*s fixed).
     """
+    if not np.isfinite(H).all():
+        return None
     vals, vecs = np.linalg.eigh(H)
     floor = max(1e-10, 1e-9 * float(vals.max(initial=0.0)))
     if vals.max(initial=0.0) <= floor:
@@ -181,14 +185,9 @@ def _fit_counts_phi(counts: np.ndarray, phi: np.ndarray) -> DayParams:
     # near-Poisson a -> inf ridge and an unidentified p are flat there),
     # then mapped to natural coordinates: cov_x = J cov_u J^T with
     # J = diag(a, s, p(1-p)).
-    cov = None
-    try:
-        cov_u = _pinv_information(numeric_hessian(objective, u_hat))
-        if cov_u is not None:
-            jac = np.diag([a, s, p * (1.0 - p)])
-            cov = jac @ cov_u @ jac.T
-    except (ArithmeticError, ValueError):
-        cov = None
+    cov_u = _pinv_information(numeric_hessian(objective, u_hat))
+    jac = np.diag([a, s, p * (1.0 - p)])
+    cov = None if cov_u is None else jac @ cov_u @ jac.T
     return DayParams(
         a=a,
         s=s,
@@ -206,15 +205,17 @@ def r_tilde_ci(params: DayParams, level: float = 0.95):
     """Delta-method interval for a*s, truncated below at zero.
 
     Returns None when no covariance is available or the propagated
-    variance is negative (non-PSD covariance).
+    variance is not a finite nonnegative number (a non-PSD or non-finite
+    covariance).
     """
     if not 0.0 < level < 1.0:
         raise ValueError("confidence level must be in (0, 1)")
     if params.cov is None:
         return None
-    a, s, cov = params.a, params.s, params.cov
-    var = s * s * cov[0, 0] + a * a * cov[1, 1] + 2.0 * a * s * cov[0, 1]
-    if var < 0:
+    # Python floats, so opposite infinities give a quiet nan, not a warning
+    a, s, cov = params.a, params.s, params.cov.tolist()
+    var = s * s * cov[0][0] + a * a * cov[1][1] + 2.0 * a * s * cov[0][1]
+    if not 0.0 <= var < math.inf:
         return None
     z = float(special.ndtri((1.0 + level) / 2.0))
     half = z * var**0.5

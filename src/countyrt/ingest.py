@@ -42,7 +42,6 @@ def load_panel(
     region_col: str = "region_id",
     date_col: str = "date",
     cases_col: str = "cases",
-    delimiter: str = ",",
 ):
     """Read a long CSV into an (IncidencePanel, ValidationReport) pair.
 
@@ -65,7 +64,7 @@ def load_panel(
     region_of, day_of, count_of = {}, {}, {}  # raw field -> index, date ordinal, count
     row_region, row_day, row_cases = [], [], []
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
+        reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:

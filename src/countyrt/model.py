@@ -116,6 +116,10 @@ class IncidencePanel:
         object.__setattr__(self, "counts", counts)
         if len(set(ids)) != len(ids):
             raise ValueError("region_ids must be unique")
+        # load_panel strips every region field, so such an id would not read back
+        for r in ids:
+            if not r or r != r.strip():
+                raise ValueError(f"region id {r!r} is empty or has surrounding whitespace")
         if len(ids) < 1:
             raise ValueError("need at least one region")
         if counts.shape != (len(ids), len(dates)):

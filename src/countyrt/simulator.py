@@ -48,6 +48,8 @@ class SimConfig:
             raise ValueError("sigma must be positive and finite")
         if self.initial_cases < 1:
             raise ValueError("initial_cases must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not self.schedule:
             raise ValueError("schedule must be non-empty")
         for dur, r in self.schedule:

@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from countyrt import cli
 from countyrt.cli import (
     FIT_SPEC,
     NAIVE_SPEC,
@@ -387,6 +388,7 @@ def test_bad_quantiles_are_usage_errors(quantiles, sim_dir, tmp_path, capsys):
         ("--start-date", "0001-01-01", "start_date 0001-01-01 puts simulated dates outside"),
         ("--start-date", "9999-12-25", "start_date 9999-12-25 puts simulated dates outside"),
         ("--schedule", "1000000000:1", "a schedule of 1000000000 days puts simulated dates"),
+        ("--seed", "-1", "seed must be >= 0"),
     ],
 )
 def test_out_of_range_simulate_values_are_usage_errors(flag, value, message, tmp_path, capsys):
@@ -394,6 +396,24 @@ def test_out_of_range_simulate_values_are_usage_errors(flag, value, message, tmp
     assert main(["simulate", "--output-dir", str(out), flag, value]) == 1
     assert f"countyrt: error: {message}" in capsys.readouterr().err
     assert not (out / "panel.csv").exists()
+    assert not out.exists()
+
+
+def test_negative_seed_with_replicates_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "sim"
+    assert main(["simulate", "--output-dir", str(out), "--seed", "-1", "--replicates", "2"]) == 1
+    assert "countyrt: error: seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_numeric_failure_is_an_internal_error(sim_dir, tmp_path, monkeypatch, capsys):
+    def failing_fit(*args):
+        raise FloatingPointError("overflow in the fit")
+
+    monkeypatch.setattr(cli, "fit_panel", failing_fit)
+    out = tmp_path / "fit"
+    assert main(["fit", "--input", str(sim_dir / "panel.csv"), "--output-dir", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("countyrt: internal error: overflow in the fit")
     assert not out.exists()
 
 

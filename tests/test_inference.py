@@ -300,9 +300,26 @@ class TestPinvInformation:
         expected = (q * [0.5, 2.0, 0.0]) @ q.T
         np.testing.assert_allclose(cov, expected, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("H", [np.zeros((3, 3)), -np.eye(3)], ids=["zero", "negative-definite"])
+    @pytest.mark.parametrize(
+        "H",
+        [
+            np.zeros((3, 3)),
+            -np.eye(3),
+            np.array([[1.0, 0.0, math.nan], [0.0, 1.0, 0.0], [math.nan, 0.0, 1.0]]),
+            np.array([[1.0, 0.0, math.inf], [0.0, 1.0, 0.0], [math.inf, 0.0, 1.0]]),
+        ],
+        ids=["zero", "negative-definite", "nan-entry", "inf-entry"],
+    )
     def test_no_direction_left(self, H):
         assert _pinv_information(H) is None
+
+    def test_fit_without_covariance_has_no_interval(self, monkeypatch):
+        panel, t = panel_with_transfers(5)
+        H = np.eye(3)
+        H[1, 1] = math.inf
+        monkeypatch.setattr(inference, "numeric_hessian", lambda objective, u: H)
+        fit = fit_day(panel, W, t)
+        assert fit.params.cov is None and fit.ci is None
 
     def test_fit_covariance_ignores_the_sign_of_a_flat_direction(self, monkeypatch):
         panel, t = panel_with_transfers(5)
@@ -317,6 +334,12 @@ class TestPinvInformation:
         scale = np.abs(expected).max()
         for cov in covs:
             np.testing.assert_allclose(cov, expected, rtol=0, atol=1e-9 * scale)
+
+
+@pytest.mark.parametrize("probs", [(0.05, 1.0), (0.0, 0.5), (math.nan,)])
+def test_fit_config_rejects_quantile_outside_unit_interval(probs):
+    with pytest.raises(ValueError, match=r"quantile probabilities must be in \(0, 1\)"):
+        FitConfig(quantile_probs=probs)
 
 
 class TestRTildeCi:
@@ -341,6 +364,15 @@ class TestRTildeCi:
 
     def test_absent_covariance(self):
         params = DayParams(2.0, 0.5, 0.1, None, True, 0.0)
+        assert r_tilde_ci(params, 0.95) is None
+
+    @pytest.mark.parametrize(
+        "var_a, cov_as", [(0.01, math.nan), (0.01, math.inf), (math.inf, -math.inf)]
+    )
+    def test_non_finite_covariance_has_no_interval(self, var_a, cov_as):
+        cov = np.diag([var_a, 0.0004, 0.0])
+        cov[0, 1] = cov[1, 0] = cov_as
+        params = DayParams(2.0, 0.5, 0.1, cov, True, 0.0)
         assert r_tilde_ci(params, 0.95) is None
 
     def test_negative_variance_signalled(self):

@@ -21,7 +21,7 @@ from countyrt import (
     posterior,
     trapezoid_pmf,
 )
-from countyrt.model import phi_matrix
+from countyrt.model import gamma_posterior, phi_matrix
 
 
 def make_panel(counts, start=datetime.date(2020, 3, 1)):
@@ -91,6 +91,11 @@ class TestGenerationTimePmf:
         # the NaN would otherwise pass both the sign and the sum check
         with pytest.raises(ValueError, match="nonnegative numbers"):
             GenerationTimePmf(1, [np.nan, 0.5, 0.5])
+
+    @pytest.mark.parametrize("weights", [np.full((2, 2), 0.25), []], ids=["2-d", "empty"])
+    def test_rejects_weights_that_are_not_a_non_empty_vector(self, weights):
+        with pytest.raises(ValueError, match="weights must be a non-empty 1-d array"):
+            GenerationTimePmf(1, weights)
 
     def test_rejects_zero_start(self):
         with pytest.raises(ValueError):
@@ -339,6 +344,15 @@ def test_gamma_posterior_rejects_nonpositive_or_nan(shape, scale):
         GammaPosterior(shape, scale)
 
 
+@pytest.mark.parametrize(
+    "lambda_c, cases, message",
+    [(-1.0, 3, "lambda must be nonnegative"), (2.0, 2.5, "count must be a nonnegative integer")],
+)
+def test_gamma_posterior_rejects_bad_data(lambda_c, cases, message):
+    with pytest.raises(ValueError, match=message):
+        gamma_posterior(2.0, 0.5, np.array([1.0, lambda_c]), np.array([1, cases]))
+
+
 class TestGammaQuantile:
     def test_exponential_median(self):
         assert gamma_quantile(GammaPosterior(1.0, 1.0), 0.5) == pytest.approx(math.log(2))
@@ -414,6 +428,23 @@ class TestIncidencePanel:
         dates = (datetime.date(2020, 3, 1),)
         with pytest.raises(ValueError):
             IncidencePanel(("a", "a"), dates, np.zeros((2, 1), dtype=int))
+
+    def test_rejects_no_region(self):
+        dates = (datetime.date(2020, 3, 1),)
+        with pytest.raises(ValueError, match="need at least one region"):
+            IncidencePanel((), dates, np.zeros((0, 1), dtype=int))
+
+    def test_rejects_counts_of_another_shape(self):
+        dates = (datetime.date(2020, 3, 1), datetime.date(2020, 3, 2))
+        with pytest.raises(ValueError, match=r"counts shape \(2, 3\) does not match 2 regions x 2"):
+            IncidencePanel(("a", "b"), dates, np.zeros((2, 3), dtype=int))
+
+    @pytest.mark.parametrize("ids", [("a ", "a"), ("",), ("b", "\tc")])
+    def test_rejects_region_ids_that_do_not_read_back(self, ids):
+        # load_panel strips every field: "a " would merge into "a", and "" is rejected
+        dates = (datetime.date(2020, 3, 1),)
+        with pytest.raises(ValueError, match="is empty or has surrounding whitespace"):
+            IncidencePanel(ids, dates, np.ones((len(ids), 1), dtype=int))
 
     def test_rejects_negative_counts(self):
         dates = (datetime.date(2020, 3, 1),)

@@ -100,6 +100,12 @@ class TestSimulate:
             SimConfig(sigma=0.0)
         with pytest.raises(ValueError):
             SimConfig(schedule=((5, -1.0),))
+        with pytest.raises(ValueError, match="^initial_cases must be >= 1$"):
+            SimConfig(initial_cases=0)
+        with pytest.raises(ValueError, match="^schedule must be non-empty$"):
+            SimConfig(schedule=())
+        with pytest.raises(ValueError, match="^seed must be >= 0$"):
+            SimConfig(seed=-1)
 
     def test_non_finite_schedule_r_rejected(self):
         with pytest.raises(ValueError, match="finite"):
@@ -151,6 +157,10 @@ class TestCrossCountyFraction:
         with pytest.raises(ValueError, match="sigma must be positive and finite"):
             cross_county_fraction(sigma, samples=10)
 
+    def test_no_samples_rejected(self):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            cross_county_fraction(0.14, samples=0)
+
     def test_monotone_in_sigma(self):
         vals = [
             cross_county_fraction(s, samples=100000, seed=4)
@@ -198,6 +208,11 @@ class TestCalibrateSigma:
         assert fraction(np.nextafter(sigma, 0.0), 1000, 10) < 0.3 <= fraction(
             np.nextafter(sigma, np.inf), 1000, 10
         )
+
+    @pytest.mark.parametrize("target", [0.0, 1.0, -0.2, math.nan])
+    def test_target_outside_unit_interval_rejected(self, target):
+        with pytest.raises(ValueError, match=r"target fraction must be in \(0, 1\)"):
+            calibrate_sigma(target, samples=10)
 
     def test_unreachable_target(self):
         with pytest.raises(ValueError):
