@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .inference import CountyPosteriors, DayFit, FitConfig, county_estimates, fit_panel
-from .ingest import PanelFormatError, csv_field, load_panel, write_csv, write_panel
+from .ingest import PanelFormatError, csv_field, load_panel, parse_date, write_csv, write_panel
 from .model import GenerationTimePmf, naive_series, trapezoid_pmf
 from .simulator import SimConfig, simulate
 
@@ -192,7 +192,7 @@ SIMULATE_SPEC = {
     "gen_time": (str, DEFAULT_GEN_TIME),
     "seed": (int, 0),
     "replicates": (_int_at_least(1), 1),
-    "start_date": (lambda s: datetime.date.fromisoformat(s).isoformat(), "2020-03-01"),
+    "start_date": (lambda s: parse_date(s).isoformat(), "2020-03-01"),
     "county_r_scale": (float, None),
 }
 
@@ -226,7 +226,7 @@ def cmd_simulate(opts: dict) -> None:
             initial_cases=opts["initial_cases"],
             w=w,
             seed=opts["seed"],
-            start_date=datetime.date.fromisoformat(opts["start_date"]),
+            start_date=parse_date(opts["start_date"]),
             county_r_scale=opts["county_r_scale"],
         )
     outdir = Path(opts["output_dir"])

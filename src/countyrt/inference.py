@@ -7,11 +7,13 @@ pseudo-inverse of the observed information, and per-county reproduction
 numbers come from the conjugate Gamma posterior at the fitted
 hyperparameters.
 
-The search and the Hessian run in (ln a, ln s, logit p) coordinates,
-clamped to +-LOGIT_CLAMP: the simplex starts there, and the Hessian is
-taken at the clipped optimum itself. ``from_transformed`` is the one map
-out to (a, s, p), and the covariance follows with its Jacobian. Every
-date is a report date; shifting to infection dates is left to the caller.
+The search and the Hessian run in (ln a, ln s, logit p) coordinates.
+Only the simplex sees the box +-LOGIT_CLAMP, through ``into_box``; the
+Hessian is the likelihood's own at the boxed optimum, and its probes
+reach about 3.1e-3 past the box, where every mean stays positive.
+``from_transformed`` is the one map out to (a, s, p), and the covariance
+follows with its Jacobian. Every date is a report date; shifting to
+infection dates is left to the caller.
 """
 
 from __future__ import annotations
@@ -111,18 +113,13 @@ def _moment_start(counts: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
 
 def from_transformed(u) -> tuple:
-    """(ln a, ln s, logit p) -> (a, s, p).
+    """(ln a, ln s, logit p) -> (a, s, p), the plain coordinate map."""
+    return math.exp(u[0]), math.exp(u[1]), 1.0 / (1.0 + math.exp(-u[2]))
 
-    All three coordinates are clamped to +-LOGIT_CLAMP so the search
-    cannot overflow.
-    """
-    u1 = min(max(float(u[0]), -LOGIT_CLAMP), LOGIT_CLAMP)
-    u2 = min(max(float(u[1]), -LOGIT_CLAMP), LOGIT_CLAMP)
-    u3 = min(max(float(u[2]), -LOGIT_CLAMP), LOGIT_CLAMP)
-    a = math.exp(u1)
-    s = math.exp(u2)
-    p = 1.0 / (1.0 + math.exp(-u3))
-    return a, s, p
+
+def into_box(u: np.ndarray) -> list:
+    """u clamped to +-LOGIT_CLAMP, as floats: the one place the search's box is applied."""
+    return [min(max(v, -LOGIT_CLAMP), LOGIT_CLAMP) for v in u.tolist()]
 
 
 def _pinv_information(H: np.ndarray):
@@ -167,25 +164,27 @@ def _fit_counts_phi(counts: np.ndarray, phi: np.ndarray) -> DayParams:
     constants = kernels.DayConstants(counts, phi)
     evaluations = 0
 
-    def objective(u):
+    def negloglik(u):
         nonlocal evaluations
         evaluations += 1
-        a, s, p = from_transformed(u)
-        return kernels.day_negloglik(counts, phi, a, s, p, constants)
+        return kernels.day_negloglik(counts, phi, *from_transformed(u), constants)
+
+    def objective(u):
+        return negloglik(into_box(u))
 
     first = nelder_mead(objective, _moment_start(counts, phi))
-    # restart once from the first optimum, with a fresh simplex around it
+    # restart from the first optimum with a fresh simplex; perfbench knows a
+    # restart by its objective object, so both runs get the same one
     res = nelder_mead(objective, first.x)
-    # the one fitted point: it gives (a, s, p), the clamp flag and the Hessian
-    u_hat = np.clip(res.x, -LOGIT_CLAMP, LOGIT_CLAMP)
+    # the one fitted point: it gives (a, s, p), the p-at-box flag and the Hessian
+    u_hat = into_box(res.x)
     a, s, p = from_transformed(u_hat)
-    at_clamp = abs(u_hat[2]) >= LOGIT_CLAMP - 1e-9
 
-    # Observed information in log/logit coordinates, pseudo-inverted (the
-    # near-Poisson a -> inf ridge and an unidentified p are flat there),
-    # then mapped to natural coordinates: cov_x = J cov_u J^T with
-    # J = diag(a, s, p(1-p)).
-    cov_u = _pinv_information(numeric_hessian(objective, u_hat))
+    # Observed information of the likelihood (not the boxed objective) in
+    # log/logit coordinates, pseudo-inverted (the near-Poisson a -> inf
+    # ridge and an unidentified p are flat there), then mapped to natural
+    # coordinates: cov_x = J cov_u J^T with J = diag(a, s, p(1-p)).
+    cov_u = _pinv_information(numeric_hessian(negloglik, u_hat))
     jac = np.diag([a, s, p * (1.0 - p)])
     cov = None if cov_u is None else jac @ cov_u @ jac.T
     return DayParams(
@@ -195,7 +194,7 @@ def _fit_counts_phi(counts: np.ndarray, phi: np.ndarray) -> DayParams:
         cov=cov,
         converged=res.converged,
         log_likelihood=-res.fun,
-        p_identifiable=not at_clamp and p_moves_lambda(phi),
+        p_identifiable=abs(u_hat[2]) < LOGIT_CLAMP - 1e-9 and p_moves_lambda(phi),
         evaluations=evaluations,
         iterations=first.iterations + res.iterations,
     )

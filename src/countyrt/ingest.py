@@ -1,11 +1,11 @@
 """Loading, validation, and country aggregation of case-count CSVs.
 
-Canonical format: long CSV with header ``region_id,date,cases``, ISO
-dates, UTF-8 with or without a byte-order mark. Foreign schemas are
-handled by remapping column names. Rows are aggregated by (region, date),
-gaps are zero-filled so the panel is contiguous, and regions are sorted
-by id for determinism. The file is read in one streaming pass over its
-rows.
+Canonical format: long CSV with header ``region_id,date,cases``,
+YYYY-MM-DD dates and ASCII integer counts, UTF-8 with or without a
+byte-order mark. Foreign schemas are handled by remapping column names.
+Rows are aggregated by (region, date), gaps are zero-filled so the panel
+is contiguous, and regions are sorted by id for determinism. The file is
+read in one streaming pass over its rows.
 
 ``write_csv`` also writes every CSV the CLI produces, so the output
 dialect is decided here, next to the reader.
@@ -17,6 +17,7 @@ import csv
 import datetime
 import io
 import itertools
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,6 +28,21 @@ from .model import IncidencePanel
 
 class PanelFormatError(ValueError):
     """Raised when an input file cannot be parsed into a panel."""
+
+
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def parse_date(text: str) -> datetime.date:
+    """A YYYY-MM-DD date, and only that form on every Python version.
+
+    ``date.fromisoformat`` alone also reads forms such as ``20200302`` and
+    ``2020-W10-1`` from Python 3.11 on; raises ValueError for them.
+    """
+    if not _ISO_DATE.fullmatch(text):
+        raise ValueError(f"not a YYYY-MM-DD date: {text!r}")
+    return datetime.date.fromisoformat(text)
 
 
 @dataclass
@@ -49,9 +65,10 @@ def load_panel(
     raises PanelFormatError; negative counts are clamped to zero and
     tallied in the report. Blank rows are skipped. The first
     invalid row of the file raises PanelFormatError with its line number:
-    a repeated header, too few fields, an empty region id, an invalid
-    date or a case count that is not an int64, checked in that order
-    within a row.
+    a repeated header, too few fields, an empty region id, a date that is
+    not YYYY-MM-DD (``parse_date``) or a case count that is not an ASCII
+    integer (optional sign, digits 0-9) within int64, checked in that
+    order within a row.
 
     Three caches map a raw region, date or count field of a row that
     passed these checks to its parsed value; a row whose three fields are
@@ -91,10 +108,13 @@ def load_panel(
                 if not fields[ri]:
                     raise PanelFormatError(f"{at}: empty region id") from None
                 try:
-                    d = datetime.date.fromisoformat(fields[di]).toordinal()
+                    d = parse_date(fields[di]).toordinal()
                 except ValueError:
                     raise PanelFormatError(f"{at}: invalid date {row[di]!r}") from None
                 try:
+                    # int() alone also reads 1_000 and non-ASCII digits
+                    if not _INTEGER.fullmatch(fields[ci]):
+                        raise ValueError
                     c = int(fields[ci])
                     if not -(2**63) <= c < 2**63:  # int64
                         raise ValueError

@@ -176,6 +176,8 @@ def cross_county_fraction(
         raise ValueError("sigma must be positive and finite")
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if k < 1:
+        raise ValueError("torus size k must be >= 1")
     rng = np.random.default_rng(seed)
     start = rng.uniform(0.0, 1.0, size=(samples, 2))
     child = (start + rng.normal(0.0, sigma, size=(samples, 2))) % k
@@ -199,6 +201,8 @@ def calibrate_sigma(
         raise ValueError("target fraction must be in (0, 1)")
     if not tol > 0:
         raise ValueError("tol must be positive")
+    if k < 1:
+        raise ValueError("torus size k must be >= 1")
     lo_s, hi_s = 1e-6, k / 2.0
     f_lo = cross_county_fraction(lo_s, samples, seed, k)
     f_hi = cross_county_fraction(hi_s, samples, seed, k)

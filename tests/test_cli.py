@@ -378,6 +378,8 @@ def test_bad_quantiles_are_usage_errors(quantiles, sim_dir, tmp_path, capsys):
         ("--replicates", "0", "invalid value for --replicates: '0'"),
         ("--replicates", "-3", "invalid value for --replicates: '-3'"),
         ("--start-date", "2020-13-01", "invalid value for --start-date: '2020-13-01'"),
+        ("--start-date", "20200301", "invalid value for --start-date: '20200301'"),
+        ("--start-date", "2020-W10-1", "invalid value for --start-date: '2020-W10-1'"),
         ("--sigma", "nan", "sigma must be positive and finite"),
         ("--sigma", "inf", "sigma must be positive and finite"),
         ("--schedule", "20:nan", "schedule R values must be >= 0 and finite"),

@@ -5,12 +5,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.special import gammaincinv, gammaln
+from scipy.special import gammaincinv, gammaln, ndtri
 
 from countyrt import (
     DayParams,
     FitConfig,
     IncidencePanel,
+    SimConfig,
     compute_lambda,
     compute_phi,
     county_estimates,
@@ -20,12 +21,14 @@ from countyrt import (
     kernels,
     naive_r_hat,
     r_tilde_ci,
+    simulate,
     trapezoid_pmf,
 )
 from countyrt.inference import (
     LOGIT_CLAMP,
     _pinv_information,
     from_transformed,
+    into_box,
     p_moves_lambda,
 )
 from countyrt.model import GenerationTimePmf, phi_matrix
@@ -252,13 +255,14 @@ class TestPIdentifiable:
 class TestTransforms:
     def test_inverse_always_in_domain(self):
         for u in ([50, -50, 100], [-80, 80, -100]):
-            a, s, p = from_transformed(np.array(u, dtype=float))
+            a, s, p = from_transformed(into_box(np.array(u, dtype=float)))
             assert a > 0 and s > 0 and 0 < p < 1
 
     @pytest.mark.parametrize("x", [[29.99, -3.1, 29.5], [35.0, -40.0, -31.0]])
     def test_hessian_taken_at_the_clipped_optimum(self, monkeypatch, x):
         # the simplex "ends" at x; the Hessian must be probed at x clipped
-        # to the clamp, not at x mapped out to (a, s, p) and back
+        # to the clamp, not at x mapped out to (a, s, p) and back, and it
+        # must see the likelihood past the box, not the boxed objective
         points = []
 
         def fixed_simplex(objective, start):
@@ -266,6 +270,8 @@ class TestTransforms:
 
         def recording_hessian(objective, point):
             points.append(np.array(point))
+            past, edge = (objective(np.array([0.0, v, 0.0])) for v in (31.0, LOGIT_CLAMP))
+            assert past != edge
             return np.eye(3)
 
         monkeypatch.setattr(inference, "nelder_mead", fixed_simplex)
@@ -276,6 +282,33 @@ class TestTransforms:
         clipped = np.clip(x, -LOGIT_CLAMP, LOGIT_CLAMP)
         assert len(points) == 1 and np.array_equal(points[0], clipped)
         assert (params.a, params.s, params.p) == from_transformed(clipped)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [SimConfig(seed=1)]
+    + [SimConfig(initial_cases=60, schedule=((60, 1.0),), seed=seed) for seed in range(3)],
+    ids=["sim-default-1", "low-count-0", "low-count-1", "low-count-2"],
+)
+def test_poisson_ridge_interval_is_the_closed_form(config):
+    """On every day fitted on the Poisson ridge (a > 1e12), the r interval
+    is the Poisson one, I/Phi -+ z sqrt(I)/Phi cut at 0: its information
+    comes from the likelihood, whether or not the optimum is at the box.
+    The low-count torus (about 5 cases a day) fits most days there."""
+    panel = simulate(config).panel
+    cases, phi = panel.counts.sum(axis=0), phi_matrix(panel, W).sum(axis=0)
+    z = float(ndtri(0.975))
+    ridge = 0
+    for t, fit in enumerate(fit_panel(panel, W)):
+        if fit.skipped or fit.params.a <= 1e12:
+            continue
+        ridge += 1
+        r, half = cases[t] / phi[t], z * math.sqrt(cases[t]) / phi[t]
+        want = (max(0.0, r - half), r + half)
+        assert fit.ci is not None, fit.date
+        worst = max(abs(got - closed) for got, closed in zip(fit.ci, want))
+        assert worst <= 1e-6 * want[1], (fit.date, fit.ci, want)
+    assert ridge > 0
 
 
 def rotated(eigenvalues, seed=8):

@@ -12,7 +12,7 @@ from countyrt.model import IncidencePanel
 
 def write_csv(tmp_path, text, name="panel.csv"):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return path
 
 
@@ -205,6 +205,11 @@ class TestLoadPanel:
         cases = [
             ([(5003, "r1,2020-13-01,4")], "5003: invalid date '2020-13-01'"),
             ([(5417, "r2,2020-03-02,4.5")], "5417: invalid case count '4.5'"),
+            # only YYYY-MM-DD dates and ASCII integer counts, on every Python
+            ([(5003, "r1,20200302,4")], "5003: invalid date '20200302'"),
+            ([(5003, "r1,2020-W10-1,4")], "5003: invalid date '2020-W10-1'"),
+            ([(5417, "r2,2020-03-02,1_000")], "5417: invalid case count '1_000'"),
+            ([(5417, "r2,2020-03-02,\u0663")], "5417: invalid case count '\u0663'"),
             ([(5999, "region_id,date,cases")], "5999: duplicate header row"),
             ([(5200, "r3,2020-03-02,x"), (5100, "r3,someday,1")], "5100: invalid date"),
             ([(5100, "r3,2020-03-02,x"), (5200, "r3,someday,1")], "5100: invalid case count"),

@@ -92,10 +92,13 @@ def test_large_shape_stays_accurate():
 
 def test_clamp_box_corners_keep_every_mean_positive():
     """The fit's domain: on days with zero-Phi regions, every corner of the
-    search's clamp box gives positive means and a finite kernel value."""
+    search's clamp box, and of the Hessian's reach past it (a step of
+    1e-4 * (1 + 30) from the box), gives positive means and a finite
+    kernel value."""
     panel = simulate(SimConfig(k=5, initial_cases=100, schedule=((25, 1.3),), seed=1)).panel
     w = cli.parse_gen_time(cli.DEFAULT_GEN_TIME)
-    edges = (-LOGIT_CLAMP, LOGIT_CLAMP)
+    reach = LOGIT_CLAMP + 1e-4 * (1.0 + LOGIT_CLAMP)
+    edges = (-reach, -LOGIT_CLAMP, LOGIT_CLAMP, reach)
     corners = [from_transformed(np.array(u)) for u in itertools.product(edges, repeat=3)]
     days = 0
     for t in range(w.support_end, len(panel.dates)):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from countyrt import cli, kernels
-from countyrt.inference import _moment_start, _pinv_information, from_transformed
+from countyrt.inference import _moment_start, _pinv_information, from_transformed, into_box
 from countyrt.model import phi_matrix
 from countyrt.optim import OptimResult, nelder_mead, numeric_hessian
 from countyrt.simulator import SimConfig, simulate
@@ -164,7 +164,7 @@ def test_float_simplex_matches_numpy_reference_on_fitted_days(default_day_data, 
     constants = kernels.DayConstants(counts, phi)
 
     def objective(u):
-        return kernels.day_negloglik(counts, phi, *from_transformed(u), constants)
+        return kernels.day_negloglik(counts, phi, *from_transformed(into_box(u)), constants)
 
     start = _moment_start(counts, phi)
     # the first run and the restart from its optimum, as the fit makes them

@@ -161,6 +161,11 @@ class TestCrossCountyFraction:
         with pytest.raises(ValueError, match="samples must be >= 1"):
             cross_county_fraction(0.14, samples=0)
 
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_torus_below_one_county_rejected(self, k):
+        with pytest.raises(ValueError, match="torus size k must be >= 1"):
+            cross_county_fraction(0.1, samples=10, k=k)
+
     def test_monotone_in_sigma(self):
         vals = [
             cross_county_fraction(s, samples=100000, seed=4)
@@ -213,6 +218,11 @@ class TestCalibrateSigma:
     def test_target_outside_unit_interval_rejected(self, target):
         with pytest.raises(ValueError, match=r"target fraction must be in \(0, 1\)"):
             calibrate_sigma(target, samples=10)
+
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_torus_below_one_county_rejected(self, k):
+        with pytest.raises(ValueError, match="torus size k must be >= 1"):
+            calibrate_sigma(0.3, samples=10, k=k)
 
     def test_unreachable_target(self):
         with pytest.raises(ValueError):
